@@ -23,8 +23,6 @@ from .expansion import (
     Substitution,
     apply_substitution,
     check_instantiation,
-    combine_and,
-    combine_then,
     conformance_check,
     expand,
     prune_omitted,
@@ -55,8 +53,6 @@ __all__ = [
     "apply_substitution",
     "axioms_equal",
     "check_instantiation",
-    "combine_and",
-    "combine_then",
     "conformance_check",
     "desugar_frames",
     "detect_cycles",

@@ -48,6 +48,11 @@ def _load(path: str, session: _Session) -> tuple[str, str] | int:
     except OSError as exc:
         session.emit(Diagnostic("error", "IoError", f"cannot read {path}: {exc.strerror}", file=path))
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        session.emit(
+            Diagnostic("error", "IoError", f"cannot read {path}: not UTF-8 at byte {exc.start}", file=path)
+        )
+        return EXIT_IO
     return text, path
 
 

@@ -103,16 +103,6 @@ def apply_substitution(
     return [substitute_axiom(ax, mapping) for ax in axioms]
 
 
-def combine_then(left: FlatOntology, right: FlatOntology, span: Span | None = None) -> FlatOntology:
-    """Extension: the right part was produced with the left signature visible."""
-    return combine(left, right, span)
-
-
-def combine_and(left: FlatOntology, right: FlatOntology, span: Span | None = None) -> FlatOntology:
-    """Union of the two ontologies, deduplicating normalization-equal axioms."""
-    return combine(left, right, span)
-
-
 def _param_signature(param: OntologyParam) -> tuple[list[tuple[StructuredName, EntityKind]], list[AtomicAxiom]]:
     axioms = desugar_frames(param.frames)
     sig = [(ax.name, ax.kind) for ax in axioms if isinstance(ax, Declaration)]
@@ -316,14 +306,11 @@ class Expander:
             onto, obs = self.expand_item(expr.name, expr.span)
             obligations.extend(obs)
             return onto
-        if isinstance(expr, Then):
+        if isinstance(expr, (Then, AndExpr)):
+            # Extension (`then`) and union (`and`) flatten to the same union.
             left = self._eval(expr.left, obligations)
             right = self._eval(expr.right, obligations)
-            return combine_then(left, right, expr.span)
-        if isinstance(expr, AndExpr):
-            left = self._eval(expr.left, obligations)
-            right = self._eval(expr.right, obligations)
-            return combine_and(left, right, expr.span)
+            return combine(left, right, expr.span)
         if isinstance(expr, Instantiate):
             return self._eval_instantiate(expr, obligations)
         raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover

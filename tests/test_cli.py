@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import godp.ontology
 from godp.cli import main
 
 def run_cli(argv, capsys):
@@ -111,6 +112,21 @@ class TestFlatten:
         )
         assert code == 3
         assert "IoError" in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    def test_non_utf8_input_is_io_error(self, capsys, tmp_path, json_flag):
+        path = tmp_path / "latin.gdol"
+        path.write_bytes(b"library L\n\xff\xfe\n")
+        code, out, err = run_cli(["check", str(path), *json_flag], capsys)
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        if json_flag:
+            payload = json.loads(err.strip())
+            assert (payload["code"], payload["severity"]) == ("IoError", "error")
+            assert payload["file"] == str(path)
+        else:
+            assert err.startswith(f"{path}: error: IoError: ")
 
     def test_keep_structured_names(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -325,3 +341,48 @@ class TestDeterminismAcrossProcesses:
             [exe, "list", str(fixtures_dir / "driving.gdol")], capture_output=True, check=True
         )
         assert proc.stdout.decode().startswith("library Driving")
+
+
+REL_PATTERN = """pattern Rel [ObjectProperty: p] [Class: D] [Class: R] =
+  ObjectProperty: p
+    Domain: D
+    Range: R
+  Class: D
+  Class: R
+end
+"""
+
+
+def _chain_library(shape: str, sites: int) -> str:
+    calls = [f"  Rel [ObjectProperty: p{i}] [Class: D{i}] [Class: R{i}]" for i in range(sites)]
+    if shape == "and":
+        body = "\n  and\n".join(calls)
+    else:
+        body = "  Class: X\n  then\n" + "\n  then\n".join(calls)
+    return f"library Chain\n{REL_PATTERN}\nontology Top =\n{body}\nend\n"
+
+
+class TestNormalizationCount:
+    """Combining must not normalize again: every output axiom is normalized
+    once when its block is built and once after stratification. A count, not
+    a timing, so the guard holds on any machine."""
+
+    @pytest.mark.parametrize("shape", ["and", "then"])
+    @pytest.mark.parametrize("sites", [200, 400])
+    def test_two_normalizations_per_output_axiom(self, capsys, tmp_path, monkeypatch, shape, sites):
+        calls = 0
+        original = godp.ontology.normalize_axiom
+
+        def counting(ax):
+            nonlocal calls
+            calls += 1
+            return original(ax)
+
+        monkeypatch.setattr(godp.ontology, "normalize_axiom", counting)
+        path = write(tmp_path, _chain_library(shape, sites))
+        code, out, err = run_cli(["flatten", path, "--target", "Top"], capsys)
+        assert (code, err) == (0, "")
+        # Rel yields 5 axioms per site; the `then` chain adds Class: X.
+        output_axioms = 5 * sites + (shape == "then")
+        assert out.count("\n  Domain: ") == sites
+        assert calls == 2 * output_axioms

@@ -7,7 +7,7 @@ kind-consistent by construction; each suite runs at least 200 cases.
 from __future__ import annotations
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from godp.axioms import (
     AllValuesFrom,
@@ -35,11 +35,12 @@ from godp.axioms import (
     normalize_axiom,
     referenced_kinds,
 )
+from godp.diagnostics import GodpError, Span
 from godp.emitter import emit_manchester
 from godp.expansion import Substitution, apply_substitution, prune_omitted
 from godp.frames import desugar_frames
 from godp.names import THING, StructuredName, name, stratify_name, substitute_name
-from godp.ontology import FlatOntology, combine
+from godp.ontology import FlatOntology, SigEntry, Signature, combine
 from godp.parser import parse_frames
 
 SUITE = settings(
@@ -253,6 +254,101 @@ class TestCombineProperties:
     @given(ontologies, ontologies, ontologies)
     def test_and_associative(self, a, b, c):
         assert norm(combine(combine(a, b), c)) == norm(combine(a, combine(b, c)))
+
+
+def reference_combine(left: FlatOntology, right: FlatOntology, span=None):
+    """The original quadratic algorithm: re-normalize all of left, then scan
+    right in order; returns (signature entries, axioms)."""
+    entries = dict(left.signature)
+    for n, entry in right.signature:
+        existing = entries.get(n)
+        if existing is None:
+            entries[n] = entry
+        elif existing.kind is not entry.kind:
+            message = f"{n} is used both as {existing.kind} and as {entry.kind}"
+            raise GodpError("ConflictingKind", message, span)
+        elif entry.declared and not existing.declared:
+            entries[n] = SigEntry(entry.kind, True)
+    seen = {normalize_axiom(ax) for ax in left.axioms}
+    kept = list(left.axioms)
+    for ax in right.axioms:
+        key = normalize_axiom(ax)
+        if key not in seen:
+            seen.add(key)
+            kept.append(ax)
+    return list(entries.items()), kept
+
+
+SHARED_NAMES = st.sampled_from(CLASS_POOL + PROP_POOL + IND_POOL).map(name)
+USUAL_KIND = {
+    **dict.fromkeys(CLASS_POOL, EntityKind.CLASS),
+    **dict.fromkeys(PROP_POOL, EntityKind.OBJECT_PROPERTY),
+    **dict.fromkeys(IND_POOL, EntityKind.INDIVIDUAL),
+}
+
+
+@st.composite
+def combine_operands(draw):
+    """Two ontologies drawn from one axiom pool, each axiom taken as is or
+    with its commutative operands swapped (EquivalentTo A/B vs B/A). Their
+    signatures share one name pool; names either keep their usual kind, so
+    only `declared` can differ, or take one of two kinds, so the signatures
+    usually clash, often on several names."""
+    named_equivalence = st.builds(EquivalentClasses, class_names.map(Named), class_names.map(Named))
+    pool = draw(st.lists(st.one_of(named_equivalence, general_axioms), min_size=1, max_size=5))
+    clashing = draw(st.booleans())
+    kinds = st.sampled_from([EntityKind.CLASS, EntityKind.OBJECT_PROPERTY])
+
+    def side() -> FlatOntology:
+        picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=8))
+        sig = Signature()
+        entries = draw(st.dictionaries(SHARED_NAMES, st.tuples(kinds, st.booleans())))
+        for n, (kind, declared) in entries.items():
+            sig.add(n, kind if clashing else USUAL_KIND[n.base], declared)
+        return FlatOntology(sig, [_flip_axiom(ax) if flip else ax for ax, flip in picks])
+
+    return side(), side()
+
+
+def _signature_only(names, kind) -> FlatOntology:
+    sig = Signature()
+    for n in names:
+        sig.add(name(n), kind, True)
+    return FlatOntology(sig)
+
+
+# Every name clashes, listed in opposite orders: the error must name right's
+# first clashing name, whatever order a set of the shared names has.
+MANY_CLASHES = (
+    _signature_only(CLASS_POOL + PROP_POOL, EntityKind.CLASS),
+    _signature_only(list(reversed(CLASS_POOL + PROP_POOL)), EntityKind.INDIVIDUAL),
+)
+
+
+class TestCombineMatchesReference:
+    @SUITE
+    @given(combine_operands())
+    @example(MANY_CLASHES)
+    def test_same_axioms_signature_and_error(self, operands):
+        left, right = operands
+        span = Span(3, 7)
+        before = [(list(o.signature), o.axioms) for o in operands]
+        try:
+            expected = reference_combine(left, right, span)
+        except GodpError as exc:
+            expected = exc
+        try:
+            out = combine(left, right, span)
+        except GodpError as exc:
+            assert isinstance(expected, GodpError)
+            assert (exc.code, exc.message, exc.span) == (expected.code, expected.message, expected.span)
+        else:
+            assert not isinstance(expected, GodpError), expected.message
+            entries, axioms = expected
+            assert list(out.signature) == entries
+            assert len(out.axioms) == len(axioms)
+            assert all(a is b for a, b in zip(out.axioms, axioms))
+        assert [(list(o.signature), o.axioms) for o in operands] == before
 
 
 class TestEmissionProperties:
