@@ -346,18 +346,7 @@ def mentions(ax: AtomicAxiom) -> frozenset[StructuredName]:
 def referenced_kinds(ax: AtomicAxiom) -> list[tuple[StructuredName, EntityKind]]:
     """Entity-position names with the kind implied by their position."""
     pairs: list[tuple[StructuredName, EntityKind]] = []
-
-    def expr(e: ClassExpr) -> None:
-        if isinstance(e, Named):
-            pairs.append((e.name, EntityKind.CLASS))
-        elif isinstance(e, (SomeValuesFrom, AllValuesFrom, Cardinality)):
-            pairs.append((e.prop, EntityKind.OBJECT_PROPERTY))
-            expr(e.filler)
-        elif isinstance(e, Not):
-            expr(e.operand)
-        elif isinstance(e, (And, Or)):
-            for op in e.operands:
-                expr(op)
+    expr = lambda e: _expr_kinds(e, pairs)  # noqa: E731
 
     if isinstance(ax, Declaration):
         pairs.append((ax.name, ax.kind))
@@ -386,6 +375,22 @@ def referenced_kinds(ax: AtomicAxiom) -> list[tuple[StructuredName, EntityKind]]
         pairs.append((ax.subject, EntityKind.INDIVIDUAL))
         pairs.append((ax.object, EntityKind.INDIVIDUAL))
     return pairs
+
+
+def _expr_kinds(e: ClassExpr, pairs: list[tuple[StructuredName, EntityKind]]) -> None:
+    """Class-expression part of :func:`referenced_kinds`. A module-level
+    function rather than a closure that calls itself, which would be a
+    reference cycle left for the garbage collector at every call."""
+    if isinstance(e, Named):
+        pairs.append((e.name, EntityKind.CLASS))
+    elif isinstance(e, (SomeValuesFrom, AllValuesFrom, Cardinality)):
+        pairs.append((e.prop, EntityKind.OBJECT_PROPERTY))
+        _expr_kinds(e.filler, pairs)
+    elif isinstance(e, Not):
+        _expr_kinds(e.operand, pairs)
+    elif isinstance(e, (And, Or)):
+        for op in e.operands:
+            _expr_kinds(op, pairs)
 
 
 # ---------------------------------------------------------------------------

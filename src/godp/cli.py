@@ -1,9 +1,11 @@
 """Command-line front door: flatten, check, list, and obligations.
 
 Exit codes: 0 success, 1 syntax/resolution errors, 2 semantic errors
-(kinds, arity, collisions, cycles) and usage errors, 3 I/O failures.
-All diagnostics go to standard error; only requested output goes to
-standard output.
+(kinds, arity, collisions, cycles) and usage errors, 3 I/O failures,
+4 internal errors: any other exception (for example a RecursionError on
+input nested too deeply) is reported as one InternalError diagnostic, never
+as a traceback. All diagnostics go to standard error; only requested output
+goes to standard output.
 """
 
 from __future__ import annotations
@@ -211,8 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = parser.parse_args(argv)  # usage errors exit 2 through SystemExit
+    try:
+        return args.func(args)
+    except Exception as exc:  # last resort: a diagnostic, not a traceback
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the innermost frame: where it was raised
+            tb = tb.tb_next
+        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        message = f"{type(exc).__name__} in {where}: {exc}"
+        diag = Diagnostic("error", "InternalError", message, file=args.input)
+        _Session(args.json_diagnostics).emit(diag)
+        return exit_code_for(diag.code)
 
 
 if __name__ == "__main__":  # pragma: no cover

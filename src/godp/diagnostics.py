@@ -1,9 +1,9 @@
 """Source locations, diagnostics, and the error taxonomy shared by all passes.
 
 Every diagnostic carries a position inside the input text and a stable
-machine-readable code. Codes are grouped into three classes that the CLI
+machine-readable code. Codes are grouped into four classes that the CLI
 maps onto exit codes: frontend errors (syntax / name binding), semantic
-errors (kinds, arity, collisions), and I/O failures.
+errors (kinds, arity, collisions), I/O failures, and internal errors.
 """
 
 from __future__ import annotations
@@ -66,10 +66,15 @@ SEMANTIC_CODES = frozenset(
 
 IO_CODES = frozenset({"IoError"})
 
+# Internal: an unexpected exception inside godp, caught by the CLI's
+# last-resort handler. CLI exit code 4.
+INTERNAL_CODES = frozenset({"InternalError"})
+
 EXIT_OK = 0
 EXIT_FRONTEND = 1
 EXIT_SEMANTIC = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def exit_code_for(code: str) -> int:
@@ -77,6 +82,8 @@ def exit_code_for(code: str) -> int:
         return EXIT_SEMANTIC
     if code in IO_CODES:
         return EXIT_IO
+    if code in INTERNAL_CODES:
+        return EXIT_INTERNAL
     return EXIT_FRONTEND
 
 

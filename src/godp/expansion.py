@@ -14,18 +14,22 @@ Parameterized names are stratified in a separate final pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .axioms import (
     AtomicAxiom,
     Declaration,
     EntityKind,
+    map_axiom_names,
     mentions,
     substitute_axiom,
 )
 from .diagnostics import Diagnostic, GodpError, Span
 from .frames import desugar_frames
-from .names import THING_BASE, StructuredName, stratify_name
-from .ontology import FlatOntology, combine
+from .names import THING_BASE, StructuredName, stratify_name, substitute_name
+# ``combine`` is no longer called here, but stays importable from this module
+# for the benchmark's tracer (bench/tracing.py), which wraps it here.
+from .ontology import FlatOntology, combine, union  # noqa: F401
 from .resolver import ResolvedLibrary
 from .syntax import (
     AndExpr,
@@ -307,88 +311,73 @@ class Expander:
             obligations.extend(obs)
             return onto
         if isinstance(expr, (Then, AndExpr)):
-            # Extension (`then`) and union (`and`) flatten to the same union.
-            left = self._eval(expr.left, obligations)
-            right = self._eval(expr.right, obligations)
-            return combine(left, right, expr.span)
+            # Extension (`then`) and union (`and`) flatten to the same union;
+            # they differ only in evaluation and diagnostic order. The parts
+            # are evaluated through map, which adds no frame to the stack.
+            parts = map(self._eval, expr.parts, repeat(obligations))
+            return union(parts, expr.ops, extension=isinstance(expr, Then))
         if isinstance(expr, Instantiate):
-            return self._eval_instantiate(expr, obligations)
+            # Evaluated in this frame, not a helper's: with union's frame,
+            # each level of pattern nesting costs three frames (_eval, union,
+            # _eval), which keeps the depth the default recursion limit allows.
+            pattern = self.resolved.table.get(expr.pattern)
+            if not isinstance(pattern, PatternDef):
+                raise GodpError(
+                    "NotAPattern", f"{expr.pattern!r} is not a pattern", expr.span, self.file
+                )
+            try:
+                subst, obs = check_instantiation(
+                    pattern, expr.args, flatten=self._flatten_argument, span=expr.span
+                )
+                obligations.extend(obs)
+                body = _transform_body(pattern.body, subst)
+                return self._eval(body, obligations)
+            except GodpError as exc:
+                note = Diagnostic(
+                    "note",
+                    exc.code,
+                    f"while expanding instantiation of {expr.pattern!r}",
+                    expr.span,
+                    self.file,
+                )
+                raise exc.with_note(note) from None
         raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
-
-    def _eval_instantiate(self, inst: Instantiate, obligations: list[Obligation]) -> FlatOntology:
-        pattern = self.resolved.table.get(inst.pattern)
-        if not isinstance(pattern, PatternDef):
-            raise GodpError(
-                "NotAPattern", f"{inst.pattern!r} is not a pattern", inst.span, self.file
-            )
-        try:
-            subst, obs = check_instantiation(
-                pattern, inst.args, flatten=self._flatten_argument, span=inst.span
-            )
-            obligations.extend(obs)
-            body = _transform_body(pattern.body, subst)
-            return self._eval(body, obligations)
-        except GodpError as exc:
-            note = Diagnostic(
-                "note",
-                exc.code,
-                f"while expanding instantiation of {inst.pattern!r}",
-                inst.span,
-                self.file,
-            )
-            raise exc.with_note(note) from None
 
     def _flatten_argument(self, name: str, span: Span | None) -> FlatOntology:
         onto, _ = self.expand_item(name, span)
         return onto
 
 
-def _transform_body(expr: OntologyExpr, subst: Substitution) -> OntologyExpr:
-    """Prune and substitute a pattern body before recursive expansion."""
-    mapping = subst.as_dict()
-    omitted = subst.omitted
+def _transform_body(e: OntologyExpr, subst: Substitution) -> OntologyExpr:
+    """Prune and substitute a pattern body before recursive expansion.
 
-    def hits_omitted(n: StructuredName) -> bool:
-        return bool(n.closure() & omitted)
-
-    def walk(e: OntologyExpr) -> OntologyExpr:
-        if isinstance(e, Basic):
-            axioms = desugar_frames(e.frames)
-            axioms = prune_omitted(axioms, omitted)
-            axioms = apply_substitution(axioms, subst)
-            return _AxiomBlock(tuple(axioms), e.span)
-        if isinstance(e, Ref):
-            return e
-        if isinstance(e, Then):
-            return Then(walk(e.left), walk(e.right), e.span)
-        if isinstance(e, AndExpr):
-            return AndExpr(walk(e.left), walk(e.right), e.span)
-        if isinstance(e, Instantiate):
-            new_args = []
-            for arg in e.args:
-                if isinstance(arg, SymbolArg):
-                    if hits_omitted(arg.name):
-                        return _AxiomBlock((), e.span)
-                    new_args.append(
-                        SymbolArg(arg.kind, _subst_name(arg.name, mapping), arg.span)
-                    )
-                elif isinstance(arg, OntologyArg):
-                    if any(hits_omitted(t) for _, t in arg.fit):
-                        return _AxiomBlock((), e.span)
-                    new_fit = tuple((s, _subst_name(t, mapping)) for s, t in arg.fit)
-                    new_args.append(OntologyArg(arg.name, new_fit, arg.span))
-                else:
-                    new_args.append(arg)
-            return Instantiate(e.pattern, tuple(new_args), e.span)
-        raise TypeError(f"unknown expression {e!r}")  # pragma: no cover
-
-    return walk(expr)
-
-
-def _subst_name(n: StructuredName, mapping: dict[StructuredName, StructuredName]) -> StructuredName:
-    from .names import substitute_name
-
-    return substitute_name(n, mapping)
+    A module-level function rather than a closure over ``subst``: a closure
+    that calls itself is a reference cycle, left for the garbage collector
+    at every instantiation."""
+    if isinstance(e, Basic):
+        axioms = prune_omitted(desugar_frames(e.frames), subst.omitted)
+        return _AxiomBlock(tuple(apply_substitution(axioms, subst)), e.span)
+    if isinstance(e, Ref):
+        return e
+    if isinstance(e, (Then, AndExpr)):
+        return type(e)(tuple(map(_transform_body, e.parts, repeat(subst))), e.ops, e.span)
+    if isinstance(e, Instantiate):
+        mapping = subst.as_dict()
+        new_args = []
+        for arg in e.args:
+            if isinstance(arg, SymbolArg):
+                if arg.name.closure() & subst.omitted:
+                    return _AxiomBlock((), e.span)
+                new_args.append(SymbolArg(arg.kind, substitute_name(arg.name, mapping), arg.span))
+            elif isinstance(arg, OntologyArg):
+                if any(t.closure() & subst.omitted for _, t in arg.fit):
+                    return _AxiomBlock((), e.span)
+                new_fit = tuple((s, substitute_name(t, mapping)) for s, t in arg.fit)
+                new_args.append(OntologyArg(arg.name, new_fit, arg.span))
+            else:
+                new_args.append(arg)
+        return Instantiate(e.pattern, tuple(new_args), e.span)
+    raise TypeError(f"unknown expression {e!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +428,6 @@ def stratify_ontology(o: FlatOntology) -> FlatOntology:
                 "StratificationCollision",
                 f"{a} and {b} both stratify to {ident!r}",
             )
-
-    from .axioms import map_axiom_names
 
     rewritten = [
         map_axiom_names(ax, lambda n: StructuredName(stratify_name(n))) for ax in o.axioms

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .axioms import (
     AtomicAxiom,
     ClassAssertion,
-    ClassExpr,
     Declaration,
     DisjointClasses,
     EntityKind,
@@ -20,6 +19,7 @@ from .axioms import (
     FunctionalProperty,
     InverseFunctionalProperty,
     InverseProperties,
+    Named,
     ObjectPropertyDomain,
     ObjectPropertyRange,
     PropertyAssertion,
@@ -72,7 +72,7 @@ def _desugar_section(frame: Frame, section: Section) -> list[AtomicAxiom]:
     kw = section.keyword
     axioms: list[AtomicAxiom] = []
     if frame.kind is EntityKind.CLASS:
-        cls = _named(subj)
+        cls = Named(subj)
         if kw == "SubClassOf":
             axioms = [SubClassOf(cls, e) for e in section.items]
         elif kw == "EquivalentTo":
@@ -111,12 +111,6 @@ def _desugar_section(frame: Frame, section: Section) -> list[AtomicAxiom]:
         # DataProperty frames carry no sections in the supported subset.
         raise _unsupported(kw, frame, section)
     return axioms
-
-
-def _named(n: StructuredName) -> ClassExpr:
-    from .axioms import Named
-
-    return Named(n)
 
 
 def _unsupported(kw: str, frame: Frame, section: Section) -> GodpError:

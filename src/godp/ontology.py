@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .axioms import (
@@ -56,26 +56,6 @@ class Signature:
         if declared and not existing.declared:
             self._entries[n] = SigEntry(kind, True)
 
-    def merge(self, other: "Signature", span: Span | None = None) -> "Signature":
-        """A new signature: this one's entries in order, then the other's new
-        names in order. A shared name keeps its place and becomes declared if
-        either side declares it. Only shared names are examined one by one;
-        on a kind clash the first clashing name in the other's order is
-        reported. Neither operand changes."""
-        mine, theirs = self._entries, other._entries
-        merged = mine | theirs
-        if len(merged) < len(mine) + len(theirs):  # some names are shared
-            merged.update(mine)
-            for n in mine.keys() & theirs.keys():
-                if mine[n].kind is not theirs[n].kind:
-                    first = next(m for m, e in theirs.items() if m in mine and mine[m].kind is not e.kind)
-                    raise _conflict(first, mine[first].kind, theirs[first].kind, span)
-                if theirs[n].declared and not mine[n].declared:
-                    merged[n] = theirs[n]
-        out = Signature()
-        out._entries = merged
-        return out
-
     def undeclared(self) -> list[tuple[StructuredName, EntityKind]]:
         return [(n, e.kind) for n, e in self._entries.items() if not e.declared]
 
@@ -122,15 +102,92 @@ class FlatOntology:
 
 def combine(left: FlatOntology, right: FlatOntology, span: Span | None = None) -> FlatOntology:
     """Union of signatures and axioms, keeping the first occurrence of a
-    normalization-equal axiom; raises ConflictingKind on a kind clash.
+    normalization-equal axiom; raises ConflictingKind on a kind clash. The
+    two-operand case of :func:`union`, with ``span`` the operator's span."""
+    return union((left, right), (span,))
 
-    Nothing is normalized here: the two keyed maps are united in
-    O(|left| + |right|) dict operations, with left's representatives and
-    order winning. Neither operand changes."""
-    signature = left.signature.merge(right.signature, span)
-    keyed = left._keyed | right._keyed
-    if len(keyed) < len(left._keyed) + len(right._keyed):  # shared axioms keep left's representative
-        keyed.update(left._keyed)
+
+def union(
+    parts: Iterable[FlatOntology], ops: Sequence[Span | None], *, extension: bool = False
+) -> FlatOntology:
+    """Union of the parts of one ``and`` chain, or with ``extension`` of one
+    ``then`` chain: what folding :func:`combine` over the parts gives, left
+    to right for ``and`` and right to left for ``then``, in O(total axioms +
+    names) dict work.
+
+    ``ops[i]`` is the span of the operator between parts i and i + 1. Names
+    keep their first place and become declared if any part declares them;
+    each normal form keeps its first axiom. A kind clash raises
+    ConflictingKind where the binary fold raised it:
+
+    - ``and`` is a lazy left fold: part i + 1 is drawn from ``parts`` only
+      after part i is merged, and a clash names the first clashing name in
+      part i + 1's order, with ``ops[i]``;
+    - ``then`` is a right fold: every part is drawn first, then the last
+      junction i whose part i clashes with parts[i + 1:] is reported, naming
+      the first clashing name of that suffix (names in order of first
+      appearance), with ``ops[i]``.
+
+    The parts are merged into a fresh accumulator, so no operand changes;
+    memoized named ontologies are shared between expressions.
+    """
+    if extension:
+        parts = list(parts)
+        _check_extension(parts, ops)
+    parts = iter(parts)
+    first = next(parts)
+    entries = dict(first.signature._entries)
+    keyed = dict(first._keyed)
+    merged = [first._keyed]
+    for span, part in zip(ops, parts):  # draws part i + 1 after ops[i]
+        _merge_entries(entries, part.signature._entries, span)
+        keyed.update(part._keyed)  # C-level: reuses the stored hashes
+        merged.append(part._keyed)
+    if len(keyed) < sum(map(len, merged)):
+        # Some axioms are shared: update() kept each key's first place but
+        # its last axiom. Re-applying the parts last to first restores the first.
+        for later in reversed(merged):
+            keyed.update(later)
+    signature = Signature()
+    signature._entries = entries
     out = FlatOntology.__new__(FlatOntology)  # the keys are known: skip normalizing
     out._set(signature, keyed)
     return out
+
+
+def _merge_entries(
+    entries: dict[StructuredName, SigEntry], theirs: dict[StructuredName, SigEntry], span: Span | None
+) -> None:
+    """Merge the signature entries ``theirs`` into ``entries`` in place. New
+    names are appended in order; a shared name keeps its place and becomes
+    declared if either side declares it. Only shared names are examined one
+    by one; on a kind clash the first clashing name in ``theirs`` order is
+    reported and ``entries`` is left unchanged."""
+    shared = entries.keys() & theirs.keys()
+    if not shared:
+        entries.update(theirs)
+        return
+    declared = {}
+    for n in shared:
+        mine = entries[n]
+        if mine.kind is not theirs[n].kind:
+            first = next(m for m, e in theirs.items() if m in shared and entries[m].kind is not e.kind)
+            raise _conflict(first, entries[first].kind, theirs[first].kind, span)
+        if mine.declared:
+            declared[n] = mine
+    entries.update(theirs)
+    entries.update(declared)
+
+
+def _check_extension(parts: list[FlatOntology], ops: Sequence[Span | None]) -> None:
+    """Raise the kind clash of the right fold ``parts[0] then (parts[1] then
+    ...)``, if any: junctions are checked from the last one leftwards."""
+    suffix: dict[StructuredName, SigEntry] = {}  # the names of parts[i + 1:]
+    for i in range(len(parts) - 2, -1, -1):
+        suffix.update(parts[i + 1].signature._entries)  # no clash inside the suffix
+        mine = parts[i].signature._entries
+        if any(mine[n].kind is not suffix[n].kind for n in mine.keys() & suffix.keys()):
+            ordered: dict[StructuredName, SigEntry] = {}
+            for later in parts[i + 1 :]:
+                _merge_entries(ordered, later.signature._entries, None)
+            _merge_entries(dict(mine), ordered, ops[i])  # raises: the clash found above

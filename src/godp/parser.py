@@ -1,11 +1,12 @@
 """Recursive-descent parser for pattern libraries and bare Manchester frames.
 
 Precedence at the structuring level: ``then`` is right-associative and binds
-looser than ``and``, which is left-associative. Inside a frame section the
-word ``and`` always binds as Manchester conjunction (greedily), so a
-structuring ``and`` directly after a trailing class-expression section needs
-the left operand parenthesized; parenthesized ontology expressions are
-accepted anywhere an expression is.
+looser than ``and``, which is left-associative. A chain of either operator
+is parsed in a loop into one n-ary node; a parenthesized operand stays one
+nested part. Inside a frame section the word ``and`` always binds as
+Manchester conjunction (greedily), so a structuring ``and`` directly after a
+trailing class-expression section needs the left operand parenthesized;
+parenthesized ontology expressions are accepted anywhere an expression is.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .axioms import (
     SomeValuesFrom,
 )
 from .diagnostics import GodpError
-from .frames import Frame, Section
+from .frames import Frame, Section, render_frame
 from .lexer import (
     COMMA,
     EOF,
@@ -249,20 +250,20 @@ class _Parser:
     # -- ontology expressions ---------------------------------------------------
 
     def parse_expr(self) -> OntologyExpr:
-        left = self.parse_and_expr()
-        if self.at(KEYWORD, "then"):
-            t = self.advance()
-            right = self.parse_expr()
-            return Then(left, right, t.span)
-        return left
+        parts = [self.parse_and_expr()]
+        ops = []
+        while self.at(KEYWORD, "then"):
+            ops.append(self.advance().span)
+            parts.append(self.parse_and_expr())
+        return Then(tuple(parts), tuple(ops), ops[0]) if ops else parts[0]
 
     def parse_and_expr(self) -> OntologyExpr:
-        left = self.parse_unit()
+        parts = [self.parse_unit()]
+        ops = []
         while self.at(KEYWORD, "and"):
-            t = self.advance()
-            right = self.parse_unit()
-            left = AndExpr(left, right, t.span)
-        return left
+            ops.append(self.advance().span)
+            parts.append(self.parse_unit())
+        return AndExpr(tuple(parts), tuple(ops), ops[0]) if ops else parts[0]
 
     def parse_unit(self) -> OntologyExpr:
         if self.at(LPAREN):
@@ -416,39 +417,37 @@ def _format_param(p: Param) -> str:
     q = " ?" if p.optional else ""
     if isinstance(p, SymbolParam):
         return f"[{p.kind}: {p.name}{q}]"
-    body = "\n".join("  " + line for f in p.frames for line in _frame_lines(f, "  "))
+    body = "\n".join("  " + line for f in p.frames for line in render_frame(f, "  "))
     return "[ontology {\n" + body + "\n}" + q + "]"
-
-
-def _frame_lines(frame: Frame, indent: str) -> list[str]:
-    from .frames import render_frame
-
-    return render_frame(frame, indent)
 
 
 def _format_expr(e: OntologyExpr, indent: str) -> str:
     if isinstance(e, Basic):
         return "\n".join(
-            indent + line for frame in e.frames for line in _frame_lines(frame, "  ")
+            indent + line for frame in e.frames for line in render_frame(frame, "  ")
         )
     if isinstance(e, Ref):
         return indent + e.name
     if isinstance(e, Instantiate):
         return indent + e.pattern + " " + "".join(_format_arg(a) for a in e.args)
     if isinstance(e, Then):
-        left = _format_expr(e.left, indent)
-        if isinstance(e.left, Then):
-            left = indent + "(\n" + left + "\n" + indent + ")"
-        return f"{left}\n{indent}then\n{_format_expr(e.right, indent)}"
+        # A nested Then part would be spliced into this chain when re-parsed.
+        return f"\n{indent}then\n".join(
+            indent + "(\n" + _format_expr(p, indent) + "\n" + indent + ")"
+            if isinstance(p, Then)
+            else _format_expr(p, indent)
+            for p in e.parts
+        )
     if isinstance(e, AndExpr):
-        return f"{_paren_operand(e.left, indent)}\n{indent}and\n{_paren_operand(e.right, indent)}"
+        return f"\n{indent}and\n".join(_paren_operand(p, indent) for p in e.parts)
     raise TypeError(f"unknown expression {e!r}")  # pragma: no cover
 
 
 def _paren_operand(e: OntologyExpr, indent: str) -> str:
-    # A Basic to the left of 'and' would be re-parsed greedily; a Then operand
-    # would change precedence. Parenthesize both.
-    if isinstance(e, (Basic, Then)):
+    # A Basic to the left of 'and' would be re-parsed greedily; a Then part
+    # would change precedence, and a nested AndExpr part would be spliced
+    # into its parent chain. Parenthesize all three.
+    if isinstance(e, (Basic, Then, AndExpr)):
         return indent + "(\n" + _format_expr(e, indent + "  ") + "\n" + indent + ")"
     return _format_expr(e, indent)
 

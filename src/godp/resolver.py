@@ -140,8 +140,8 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
 
         def walk(expr: OntologyExpr) -> None:
             if isinstance(expr, (Then, AndExpr)):
-                walk(expr.left)
-                walk(expr.right)
+                for part in expr.parts:
+                    walk(part)
             elif isinstance(expr, Ref):
                 check_target(expr.name, expr.span, want_pattern=False, arg_count=None)
             elif isinstance(expr, Instantiate):
@@ -249,8 +249,8 @@ def declared_symbols(resolved: ResolvedLibrary, item_name: str, _seen: set[str] 
 
     def walk(expr: OntologyExpr) -> None:
         if isinstance(expr, (Then, AndExpr)):
-            walk(expr.left)
-            walk(expr.right)
+            for part in expr.parts:
+                walk(part)
         elif isinstance(expr, Instantiate):
             out.update(declared_symbols(resolved, expr.pattern, seen))
         elif isinstance(expr, Ref):
@@ -287,8 +287,8 @@ def pattern_free_symbols(resolved: ResolvedLibrary, item: PatternDef) -> set[Str
 
     def walk(expr: OntologyExpr) -> None:
         if isinstance(expr, (Then, AndExpr)):
-            walk(expr.left)
-            walk(expr.right)
+            for part in expr.parts:
+                walk(part)
         elif isinstance(expr, Instantiate):
             for arg in expr.args:
                 if isinstance(arg, OntologyArg):

@@ -1,8 +1,10 @@
 """AST for pattern-library files: items, parameters, arguments, expressions.
 
-Every node carries the span of its first token. Structural equality for the
-parse/print stability check goes through :func:`fingerprint`, which drops
-spans.
+Every node carries a span: the span of its first token, except for the
+operator nodes ``Then`` and ``AndExpr``, whose ``span`` is that of their first
+operator token and whose ``ops`` hold the span of every operator token.
+Structural equality for the parse/print stability check goes through
+:func:`fingerprint`, which drops spans.
 """
 
 from __future__ import annotations
@@ -68,15 +70,23 @@ class Basic(OntologyExpr):
 
 @dataclass(frozen=True)
 class Then(OntologyExpr):
-    left: OntologyExpr
-    right: OntologyExpr
+    """``parts[0] then parts[1] then ...``: right-associative extension.
+    ``ops[i]`` is the span of the ``then`` between ``parts[i]`` and
+    ``parts[i + 1]``; ``span`` is ``ops[0]``. A parenthesized part stays one
+    nested part."""
+
+    parts: tuple[OntologyExpr, ...]
+    ops: tuple[Span, ...]
     span: Span
 
 
 @dataclass(frozen=True)
 class AndExpr(OntologyExpr):
-    left: OntologyExpr
-    right: OntologyExpr
+    """``parts[0] and parts[1] and ...``: left-associative union, with
+    ``parts``, ``ops`` and ``span`` as in :class:`Then`."""
+
+    parts: tuple[OntologyExpr, ...]
+    ops: tuple[Span, ...]
     span: Span
 
 

@@ -238,6 +238,26 @@ class TestErrorPaths:
         assert "ForwardReference" in err
 
 
+class TestInternalError:
+    """An exception no stage reports itself ends as one InternalError
+    diagnostic and exit code 4, never as a traceback."""
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    def test_deep_parentheses(self, capsys, tmp_path, json_flag):
+        depth = 5000  # the recursive-descent parser runs out of stack
+        path = write(tmp_path, "library L ontology O = " + "(" * depth + "Class: A" + ")" * depth + " end")
+        code, out, err = run_cli(["flatten", path, "--target", "O", *json_flag], capsys)
+        assert (code, out) == (4, "")
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        if json_flag:
+            diag = json.loads(line)
+            assert (diag["severity"], diag["code"], diag["file"]) == ("error", "InternalError", path)
+            assert diag["message"].startswith("RecursionError in ")
+        else:
+            assert line.startswith(f"{path}: error: InternalError: RecursionError in ")
+
+
 class TestCheck:
     def test_role_library_passes(self, capsys, fixtures_dir):
         code, out, err = run_cli(["check", str(fixtures_dir / "role.gdol")], capsys)
@@ -360,6 +380,42 @@ def _chain_library(shape: str, sites: int) -> str:
     else:
         body = "  Class: X\n  then\n" + "\n  then\n".join(calls)
     return f"library Chain\n{REL_PATTERN}\nontology Top =\n{body}\nend\n"
+
+
+def _chain_output(shape: str, sites: int) -> str:
+    """The closed-form flattening of _chain_library: property frames sorted
+    by name, then class frames."""
+    props = sorted((f"p{i}", f"D{i}", f"R{i}") for i in range(sites))
+    classes = sorted([c for _, d, r in props for c in (d, r)] + ["X"] * (shape == "then"))
+    blocks = [f"ObjectProperty: {p}\n  Domain: {d}\n  Range: {r}" for p, d, r in props]
+    return "\n\n".join(blocks + [f"Class: {c}" for c in classes]) + "\n"
+
+
+class TestDeepChains:
+    """Fresh processes at the default recursion limit: a chain of any length
+    flattens, since each chain is one node walked by iteration, and pattern
+    nesting goes as deep as it did with binary nodes."""
+
+    @pytest.mark.parametrize("shape", ["and", "then"])
+    def test_5000_sites(self, tmp_path, shape):
+        path = write(tmp_path, _chain_library(shape, 5000))
+        proc = subprocess.run(
+            [sys.executable, "-m", "godp", "flatten", path, "--target", "Top"], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == _chain_output(shape, 5000)
+
+    @pytest.mark.parametrize("shape", ["and", "then"])
+    def test_patterns_nested_300_deep(self, tmp_path, shape):
+        # Each level of pattern nesting costs as many frames as with binary
+        # nodes; the resolver's walks stop at about 326 levels.
+        items = ["pattern P0 [Class: X] = Class: X end"]
+        items += [f"pattern P{i} [Class: X] = P{i - 1} [X] {shape} Class: X end" for i in range(1, 301)]
+        path = write(tmp_path, "library D\n" + "\n".join(items) + "\nontology T = P300 [Class: A] end\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "godp", "flatten", path, "--target", "T"], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Class: A\n", "")
 
 
 class TestNormalizationCount:

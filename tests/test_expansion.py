@@ -105,7 +105,7 @@ class TestDriving:
 class TestCheckInstantiation:
     def test_full_argument_list(self, role):
         pattern = get_pattern(role, "RoleGODPParametrisation")
-        inst = get_pattern(role, "ProfRoleOntology").body.right
+        inst = get_pattern(role, "ProfRoleOntology").body.parts[-1]
         subst, obligations = check_instantiation(pattern, inst.args)
         assert subst.as_dict() == {
             name("Role"): name("ProfRole"),
@@ -117,7 +117,7 @@ class TestCheckInstantiation:
 
     def test_omitted_optional(self, role):
         pattern = get_pattern(role, "RoleGODPParametrisation")
-        inst = get_pattern(role, "MotherRoleOntology").body.right
+        inst = get_pattern(role, "MotherRoleOntology").body.parts[-1]
         subst, _ = check_instantiation(pattern, inst.args)
         assert subst.as_dict() == {
             name("Role"): name("MotherRole"),
@@ -140,7 +140,7 @@ class TestCheckInstantiation:
 
     def test_missing_mandatory_argument(self, role):
         pattern = get_pattern(role, "RoleGODPParametrisation")
-        inst = get_pattern(role, "MotherRoleOntology").body.right
+        inst = get_pattern(role, "MotherRoleOntology").body.parts[-1]
         # position 2 (Performer) omitted although mandatory
         with pytest.raises(GodpError) as exc:
             check_instantiation(pattern, (inst.args[0], inst.args[2], inst.args[2]))

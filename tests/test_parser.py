@@ -1,9 +1,13 @@
+import re
+
 import pytest
 
 from godp.axioms import EntityKind
 from godp.diagnostics import GodpError
+from godp.expansion import expand
 from godp.names import name
 from godp.parser import format_library, parse_library
+from godp.resolver import resolve
 from godp.syntax import (
     AndExpr,
     Basic,
@@ -49,9 +53,13 @@ class TestLibraryStructure:
         lib = parse_library(DOL_EXAMPLE)
         body = lib.items[1].body
         assert isinstance(body, Then)
-        assert isinstance(body.left, Ref) and body.left.name == "Driving"
-        assert isinstance(body.right, Basic)
-        assert len(body.right.frames) == 1
+        assert len(body.parts) == 2
+        assert (body.span.line, body.span.col) == (12, 3)  # the 'then' token
+        assert body.ops == (body.span,)
+        left, right = body.parts
+        assert isinstance(left, Ref) and left.name == "Driving"
+        assert isinstance(right, Basic)
+        assert len(right.frames) == 1
 
     def test_minimal_pattern(self):
         lib = parse_library("library L pattern P [Class: X] = Class: X end")
@@ -109,34 +117,80 @@ class TestArguments:
         assert len(pattern.params[1].frames) == 2
 
 
+def _columns(text: str, word: str) -> list[int]:
+    return [m.start() + 1 for m in re.finditer(rf"\b{word}\b", text)]
+
+
+def _first_error(text: str, target: str = "E") -> GodpError:
+    with pytest.raises(GodpError) as exc:
+        expand(resolve(parse_library(text)), target)
+    return exc.value
+
+
 class TestPrecedence:
     def test_then_binds_looser_than_and(self):
         text = ("library L ontology A = Class: C end ontology B = Class: D end "
                 "ontology E = A and B then A end")
         body = parse_library(text).items[2].body
         assert isinstance(body, Then)
-        assert isinstance(body.left, AndExpr)
+        assert len(body.parts) == 2 and len(body.ops) == 1
+        conjunction, last = body.parts
+        assert isinstance(conjunction, AndExpr)
+        assert [p.name for p in conjunction.parts] == ["A", "B"]
+        assert isinstance(last, Ref) and last.name == "A"
 
-    def test_then_right_associative(self):
+    def test_then_chain_is_one_node(self):
         text = ("library L ontology A = Class: C end "
                 "ontology E = A then A then A end")
         body = parse_library(text).items[1].body
         assert isinstance(body, Then)
-        assert isinstance(body.right, Then)
+        assert all(isinstance(p, Ref) for p in body.parts) and len(body.parts) == 3
+        assert [op.col for op in body.ops] == _columns(text, "then")
+        assert body.span == body.ops[0]
 
-    def test_and_left_associative(self):
+    def test_and_chain_is_one_node(self):
         text = ("library L ontology A = Class: C end "
                 "ontology E = A and A and A end")
         body = parse_library(text).items[1].body
         assert isinstance(body, AndExpr)
-        assert isinstance(body.left, AndExpr)
+        assert all(isinstance(p, Ref) for p in body.parts) and len(body.parts) == 3
+        assert [op.col for op in body.ops] == _columns(text, "and")
+        assert body.span == body.ops[0]
+
+    def test_then_right_associative(self):
+        # Clashes at both junctions: the right fold meets the last one first.
+        err = _first_error("library L ontology E =\n"
+                           "Class: X then\nObjectProperty: X then\nClass: X end")
+        assert err.code == "ConflictingKind"
+        assert err.message == "X is used both as ObjectProperty and as Class"
+        assert (err.span.line, err.span.col) == (3, 19)
+
+    def test_and_left_associative(self):
+        # Clashes at both junctions: the left fold meets the first one first.
+        err = _first_error("library L ontology E =\n"
+                           "Class: X and\nObjectProperty: X and\nClass: X end")
+        assert err.code == "ConflictingKind"
+        assert err.message == "X is used both as Class and as ObjectProperty"
+        assert (err.span.line, err.span.col) == (2, 10)
 
     def test_parenthesized_expression(self):
         text = ("library L ontology A = Class: C end "
                 "ontology E = (Class: D) and A end")
         body = parse_library(text).items[1].body
         assert isinstance(body, AndExpr)
-        assert isinstance(body.left, Basic)
+        assert len(body.parts) == 2
+        assert isinstance(body.parts[0], Basic)
+        assert isinstance(body.parts[1], Ref)
+
+    def test_parenthesized_chain_stays_nested(self):
+        text = ("library L ontology A = Class: C end "
+                "ontology E = A and (A and A) end "
+                "ontology F = (A then A) then A end")
+        lib = parse_library(text)
+        for body, kind in ((lib.items[1].body, AndExpr), (lib.items[2].body, Then)):
+            assert isinstance(body, kind) and len(body.parts) == 2
+            nested = [p for p in body.parts if isinstance(p, kind)]
+            assert len(nested) == 1 and len(nested[0].parts) == 2
 
     def test_manchester_and_binds_greedily(self):
         text = ("library L pattern P [Class: X] = Class: X end "
@@ -186,4 +240,13 @@ class TestPrintStability:
         lib = parse_library(fixture_text(fixture))
         printed = format_library(lib)
         reparsed = parse_library(printed)
+        assert fingerprint(reparsed) == fingerprint(lib)
+
+    @pytest.mark.parametrize(
+        "expr", ["(A and B) and C", "A and (B and C)", "(A then B) then C", "A then (B and C)"]
+    )
+    def test_nested_chains_roundtrip(self, expr):
+        lib = parse_library("library L ontology A = Class: X end ontology B = Class: Y end "
+                            f"ontology C = Class: Z end ontology E = {expr} end")
+        reparsed = parse_library(format_library(lib))
         assert fingerprint(reparsed) == fingerprint(lib)

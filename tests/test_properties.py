@@ -6,6 +6,8 @@ kind-consistent by construction; each suite runs at least 200 cases.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
@@ -40,7 +42,7 @@ from godp.emitter import emit_manchester
 from godp.expansion import Substitution, apply_substitution, prune_omitted
 from godp.frames import desugar_frames
 from godp.names import THING, StructuredName, name, stratify_name, substitute_name
-from godp.ontology import FlatOntology, SigEntry, Signature, combine
+from godp.ontology import FlatOntology, SigEntry, Signature, combine, union
 from godp.parser import parse_frames
 
 SUITE = settings(
@@ -349,6 +351,98 @@ class TestCombineMatchesReference:
             assert len(out.axioms) == len(axioms)
             assert all(a is b for a, b in zip(out.axioms, axioms))
         assert [(list(o.signature), o.axioms) for o in operands] == before
+
+
+class _Folded(NamedTuple):
+    """A reference fold's intermediate result, in the shape reference_combine reads."""
+
+    signature: list
+    axioms: list
+
+
+def reference_union(parts, ops, extension: bool):
+    """The binary trees the parser used to build, folded with
+    reference_combine: left-nested for `and`, right-nested for `then`."""
+    if extension:
+        acc = parts[-1]
+        for part, span in zip(reversed(parts[:-1]), reversed(ops)):
+            acc = _Folded(*reference_combine(part, acc, span))
+    else:
+        acc = parts[0]
+        for part, span in zip(parts[1:], ops):
+            acc = _Folded(*reference_combine(acc, part, span))
+    return list(acc.signature), list(acc.axioms)
+
+
+@st.composite
+def union_operands(draw):
+    """2-8 ontologies drawn as combine_operands draws its two; each part
+    decides on its own whether its names take their usual kind or a random
+    one of two, so kind clashes occur at some junctions and not others."""
+    named_equivalence = st.builds(EquivalentClasses, class_names.map(Named), class_names.map(Named))
+    pool = draw(st.lists(st.one_of(named_equivalence, general_axioms), min_size=1, max_size=5))
+    kinds = st.sampled_from([EntityKind.CLASS, EntityKind.OBJECT_PROPERTY])
+
+    def part() -> FlatOntology:
+        picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=6))
+        clashing = draw(st.booleans())
+        sig = Signature()
+        entries = draw(st.dictionaries(SHARED_NAMES, st.tuples(kinds, st.booleans()), max_size=4))
+        for n, (kind, declared) in entries.items():
+            sig.add(n, kind if clashing else USUAL_KIND[n.base], declared)
+        return FlatOntology(sig, [_flip_axiom(ax) if flip else ax for ax, flip in picks])
+
+    return [part() for _ in range(draw(st.integers(min_value=2, max_value=8)))]
+
+
+# Clashes at both junctions: `and` must report the first one, on Ca (the
+# first clashing name in part 1's order, not part 0's), and `then` the last
+# one, on pa.
+TWO_JUNCTIONS = [
+    _signature_only(["pa", "Ca"], EntityKind.CLASS),
+    _signature_only(["Ca", "pa"], EntityKind.INDIVIDUAL),
+    _signature_only(["pa"], EntityKind.OBJECT_PROPERTY),
+]
+
+
+class TestUnionMatchesReference:
+    """union against the binary folds of the original combine algorithm."""
+
+    @SUITE
+    @given(union_operands(), st.booleans())
+    @example(TWO_JUNCTIONS, False)
+    @example(TWO_JUNCTIONS, True)
+    @example(list(MANY_CLASHES) * 2, True)
+    def test_same_axioms_signature_error_and_draws(self, parts, extension):
+        ops = [Span(1, 10 * i + 1) for i in range(len(parts) - 1)]
+        before = [(list(o.signature), o.axioms) for o in parts]
+        drawn = []
+
+        def lazily():
+            for i, part in enumerate(parts):
+                drawn.append(i)
+                yield part
+
+        try:
+            expected = reference_union(parts, ops, extension)
+        except GodpError as exc:
+            expected = exc
+        try:
+            out = union(lazily(), ops, extension=extension)
+        except GodpError as exc:
+            assert isinstance(expected, GodpError)
+            assert (exc.code, exc.message, exc.span) == (expected.code, expected.message, expected.span)
+            junction = ops.index(exc.span)
+            # `and` draws no part after the junction that failed; `then` draws all first.
+            assert drawn == list(range(len(parts) if extension else junction + 2))
+        else:
+            assert not isinstance(expected, GodpError), expected.message
+            entries, axioms = expected
+            assert list(out.signature) == entries
+            assert len(out.axioms) == len(axioms)
+            assert all(a is b for a, b in zip(out.axioms, axioms))
+            assert drawn == list(range(len(parts)))
+        assert [(list(o.signature), o.axioms) for o in parts] == before
 
 
 class TestEmissionProperties:
