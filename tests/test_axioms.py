@@ -1,5 +1,9 @@
+import pytest
+
 from godp.axioms import (
+    AllValuesFrom,
     And,
+    AtomicAxiom,
     Cardinality,
     ClassAssertion,
     Declaration,
@@ -7,19 +11,32 @@ from godp.axioms import (
     EntityKind,
     EquivalentClasses,
     FunctionalProperty,
+    InverseFunctionalProperty,
+    InverseProperties,
     Named,
     Not,
+    ObjectPropertyDomain,
+    ObjectPropertyRange,
     Or,
     PropertyAssertion,
     SomeValuesFrom,
     SubClassOf,
+    SubPropertyOf,
+    axiom_names,
     axioms_equal,
+    map_axiom_names,
     mentions,
     normalize_axiom,
+    referenced_kinds,
     render_axiom,
     render_expr,
 )
-from godp.names import StructuredName, name
+from godp.diagnostics import GodpError
+from godp.emitter import emit_manchester
+from godp.frames import desugar_frames
+from godp.names import THING, StructuredName, name
+from godp.ontology import FlatOntology
+from godp.parser import parse_frames
 
 
 def cls(n):
@@ -112,3 +129,204 @@ class TestRendering:
     def test_render_axiom_line(self):
         ax = SubClassOf(cls("Dog"), cls("Animal"))
         assert render_axiom(ax) == "Class: Dog SubClassOf: Animal"
+
+
+# ---------------------------------------------------------------------------
+# One instance of each atomic axiom type, with a structured name and a
+# non-Named class expression wherever the type can still be written as a
+# frame. Pins what every per-type walk must agree on.
+# ---------------------------------------------------------------------------
+
+
+def sn(base, *constituents):
+    return StructuredName(base, (tuple(name(c) for c in constituents),))
+
+
+CLASS, OBJ, IND = EntityKind.CLASS, EntityKind.OBJECT_PROPERTY, EntityKind.INDIVIDUAL
+
+# (axiom, render_axiom text, referenced_kinds: names in order with their kinds)
+SCHEMA_TABLE = [
+    (
+        Declaration(OBJ, sn("rel", "A", "B")),
+        "ObjectProperty: rel[A,B]",
+        [(sn("rel", "A", "B"), OBJ)],
+    ),
+    (
+        SubClassOf(Named(sn("C", "X")), And((Not(cls("E")), SomeValuesFrom(sn("p", "X"), cls("D"))))),
+        "Class: C[X] SubClassOf: not E and p[X] some D",
+        [(sn("C", "X"), CLASS), (name("E"), CLASS), (sn("p", "X"), OBJ), (name("D"), CLASS)],
+    ),
+    (
+        EquivalentClasses(Or((cls("W"), cls("V"))), Named(sn("C", "X"))),
+        "Class: W or V EquivalentTo: C[X]",
+        [(name("W"), CLASS), (name("V"), CLASS), (sn("C", "X"), CLASS)],
+    ),
+    (
+        DisjointClasses(Named(sn("D", "X")), AllValuesFrom(sn("q", "X"), cls("F"))),
+        "Class: D[X] DisjointWith: q[X] only F",
+        [(sn("D", "X"), CLASS), (sn("q", "X"), OBJ), (name("F"), CLASS)],
+    ),
+    (
+        ObjectPropertyDomain(sn("p", "X"), Cardinality(sn("q", "X"), "min", 2, cls("A"))),
+        "ObjectProperty: p[X] Domain: q[X] min 2 A",
+        [(sn("p", "X"), OBJ), (sn("q", "X"), OBJ), (name("A"), CLASS)],
+    ),
+    (
+        ObjectPropertyRange(sn("p", "X"), Or((cls("A"), Not(cls("B"))))),
+        "ObjectProperty: p[X] Range: A or not B",
+        [(sn("p", "X"), OBJ), (name("A"), CLASS), (name("B"), CLASS)],
+    ),
+    (
+        InverseProperties(sn("p", "X"), sn("inv", "p")),
+        "ObjectProperty: p[X] InverseOf: inv[p]",
+        [(sn("p", "X"), OBJ), (sn("inv", "p"), OBJ)],
+    ),
+    (
+        FunctionalProperty(sn("p", "X")),
+        "ObjectProperty: p[X] Characteristics: Functional",
+        [(sn("p", "X"), OBJ)],
+    ),
+    (
+        InverseFunctionalProperty(sn("q", "X")),
+        "ObjectProperty: q[X] Characteristics: InverseFunctional",
+        [(sn("q", "X"), OBJ)],
+    ),
+    (
+        SubPropertyOf(sn("q", "X"), sn("top", "X")),
+        "ObjectProperty: q[X] SubPropertyOf: top[X]",
+        [(sn("q", "X"), OBJ), (sn("top", "X"), OBJ)],
+    ),
+    (
+        ClassAssertion(Cardinality(sn("p", "X"), "exactly", 1, cls("A")), sn("i", "X")),
+        "Individual: i[X] Types: p[X] exactly 1 A",
+        [(sn("p", "X"), OBJ), (name("A"), CLASS), (sn("i", "X"), IND)],
+    ),
+    (
+        PropertyAssertion(sn("q", "X"), sn("i", "X"), sn("j", "X")),
+        "Individual: i[X] Facts: q[X] j[X]",
+        [(sn("q", "X"), OBJ), (sn("i", "X"), IND), (sn("j", "X"), IND)],
+    ),
+]
+
+SCHEMA_AXIOMS = [row[0] for row in SCHEMA_TABLE]
+
+SCHEMA_EMITTED = """\
+ObjectProperty: p[X]
+  Characteristics: Functional
+  Domain: q[X] min 2 A
+  Range: A or not B
+  InverseOf: inv[p]
+
+ObjectProperty: q[X]
+  Characteristics: InverseFunctional
+  SubPropertyOf: top[X]
+
+ObjectProperty: rel[A,B]
+
+Class: C[X]
+  SubClassOf: not E and p[X] some D
+  EquivalentTo: W or V
+
+Class: D[X]
+  DisjointWith: q[X] only F
+
+Individual: i[X]
+  Types: p[X] exactly 1 A
+  Facts: q[X] j[X]
+"""
+
+
+def _ids(row):
+    return type(row[0]).__name__
+
+
+def _prefixed(n):
+    return StructuredName("z" + n.base, n.groups)
+
+
+def _unprefixed(n):
+    return StructuredName(n.base[1:], n.groups)
+
+
+class TestSchemaTable:
+    def test_covers_every_axiom_type(self):
+        assert {type(ax) for ax in SCHEMA_AXIOMS} == set(AtomicAxiom.__subclasses__())
+        assert len(SCHEMA_AXIOMS) == 12
+
+    @pytest.mark.parametrize("row", SCHEMA_TABLE, ids=_ids)
+    def test_render_axiom(self, row):
+        ax, text, _ = row
+        assert render_axiom(ax) == text
+
+    @pytest.mark.parametrize("row", SCHEMA_TABLE, ids=_ids)
+    def test_names_and_kinds(self, row):
+        ax, _, kinds = row
+        assert referenced_kinds(ax) == kinds
+        assert axiom_names(ax) == [n for n, _ in kinds]
+
+    @pytest.mark.parametrize("row", SCHEMA_TABLE, ids=_ids)
+    def test_map_axiom_names(self, row):
+        ax, _, kinds = row
+        mapped = map_axiom_names(ax, _prefixed)
+        assert type(mapped) is type(ax)
+        assert referenced_kinds(mapped) == [(_prefixed(n), k) for n, k in kinds]
+        # Everything that is not a name survives: mapping back restores the axiom.
+        assert map_axiom_names(mapped, _unprefixed) == ax
+
+    def test_normalize_equivalent(self):
+        wv, c = Or((cls("W"), cls("V"))), Named(sn("C", "X"))
+        expected = EquivalentClasses(c, Or((cls("V"), cls("W"))))
+        assert normalize_axiom(EquivalentClasses(wv, c)) == expected
+        assert normalize_axiom(EquivalentClasses(c, wv)) == expected
+
+    def test_normalize_disjoint(self):
+        d, q = Named(sn("D", "X")), AllValuesFrom(sn("q", "X"), Or((cls("G"), cls("F"))))
+        expected = DisjointClasses(d, AllValuesFrom(sn("q", "X"), Or((cls("F"), cls("G")))))
+        assert normalize_axiom(DisjointClasses(d, q)) == expected
+        assert normalize_axiom(DisjointClasses(q, d)) == expected
+
+    @pytest.mark.parametrize("row", SCHEMA_TABLE, ids=_ids)
+    def test_normalize_keeps_order_elsewhere(self, row):
+        ax = row[0]
+        if not isinstance(ax, (EquivalentClasses, DisjointClasses)):
+            assert normalize_axiom(ax) == ax  # table operands are already sorted
+
+    def test_emit_parse_desugar_roundtrip(self):
+        onto = FlatOntology.from_axioms(SCHEMA_AXIOMS)
+        text = emit_manchester(onto, allow_structured=True)
+        assert text == SCHEMA_EMITTED
+        reparsed = desugar_frames(parse_frames(text))
+        logical = lambda axioms: sorted(  # noqa: E731
+            repr(normalize_axiom(ax)) for ax in axioms if not isinstance(ax, Declaration)
+        )
+        assert logical(reparsed) == logical(SCHEMA_AXIOMS)
+        assert SCHEMA_AXIOMS[0] in reparsed
+
+    @pytest.mark.parametrize(
+        "ax",
+        [
+            SubClassOf(SomeValuesFrom(name("p"), cls("A")), cls("B")),
+            SubClassOf(Named(THING), cls("B")),
+            EquivalentClasses(Not(cls("A")), Not(cls("B"))),
+            DisjointClasses(Named(THING), Named(THING)),
+        ],
+        ids=["SubClassOf-complex", "SubClassOf-Thing", "EquivalentClasses", "DisjointClasses"],
+    )
+    def test_emit_needs_named_subject(self, ax):
+        with pytest.raises(GodpError) as exc:
+            emit_manchester(FlatOntology.from_axioms([ax]))
+        assert exc.value.code == "UnsupportedConstruct"
+        assert exc.value.message == (
+            "axiom has no named subject to attach a frame to: " + type(ax).__name__
+        )
+
+    def test_emit_commutative_subject_side(self):
+        axioms = [
+            EquivalentClasses(Named(THING), cls("A")),
+            EquivalentClasses(cls("B"), cls("A")),
+            DisjointClasses(Not(cls("C")), cls("A")),
+        ]
+        assert emit_manchester(FlatOntology.from_axioms(axioms)) == (
+            "Class: A\n  EquivalentTo: owl:Thing\n  DisjointWith: not C\n\n"
+            "Class: B\n  EquivalentTo: A\n"
+        )
