@@ -10,8 +10,10 @@ and makes equality a structural check on normal forms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
+from .diagnostics import GodpError
 from .names import THING_BASE, StructuredName, substitute_name
 
 
@@ -101,15 +103,8 @@ _LEVEL_AND = 1
 _LEVEL_UNARY = 2
 
 
-def _level(e: ClassExpr) -> int:
-    if isinstance(e, Or):
-        return _LEVEL_OR
-    if isinstance(e, And):
-        return _LEVEL_AND
-    return _LEVEL_UNARY
-
-
 def render_expr(e: ClassExpr, min_level: int = _LEVEL_OR) -> str:
+    level = _LEVEL_UNARY
     if isinstance(e, Named):
         text = e.name.render()
     elif isinstance(e, SomeValuesFrom):
@@ -122,11 +117,13 @@ def render_expr(e: ClassExpr, min_level: int = _LEVEL_OR) -> str:
         text = f"not {render_expr(e.operand, _LEVEL_UNARY)}"
     elif isinstance(e, And):
         text = " and ".join(render_expr(op, _LEVEL_UNARY) for op in e.operands)
+        level = _LEVEL_AND
     elif isinstance(e, Or):
         text = " or ".join(render_expr(op, _LEVEL_AND) for op in e.operands)
+        level = _LEVEL_OR
     else:  # pragma: no cover - closed hierarchy
         raise TypeError(f"unknown class expression {e!r}")
-    if _level(e) < min_level:
+    if level < min_level:
         return "(" + text + ")"
     return text
 
@@ -135,73 +132,147 @@ def render_expr(e: ClassExpr, min_level: int = _LEVEL_OR) -> str:
 # Atomic axioms
 # ---------------------------------------------------------------------------
 
+# Field roles besides EntityKind members: a class expression, and the name a
+# Declaration declares, whose kind is the Declaration's ``kind`` field.
+EXPR = "class expression"
+DECLARED = "declared name"
+
+# Frame section keywords, in the order the emitter writes a frame's sections.
+SECTION_KEYWORDS = (
+    "Characteristics", "Domain", "Range", "InverseOf", "SubPropertyOf",
+    "SubClassOf", "EquivalentTo", "DisjointWith", "Types", "Facts",
+)
+
 
 class AtomicAxiom:
+    """Base of the atomic axiom types. Each type states its schema in class
+    attributes next to its fields (they are not dataclass fields), and every
+    per-type operation below is derived from it:
+
+    - ``roles``: per field, the EntityKind of the name in that position,
+      EXPR for a class expression, DECLARED, or None for a constant;
+    - ``frame_kind`` and ``keyword``: the frame and the section the axiom is
+      written in; ``payload`` is the section's constant text (for
+      Characteristics), or None when the other fields are the payload;
+    - ``subject_at``: the index of the field holding the frame subject;
+    - ``commutative``: whether the two class expressions may be swapped,
+      which normalization sorts and the emitter uses to find a named subject.
+    """
+
     __slots__ = ()
+
+    roles: tuple = ()
+    frame_kind: EntityKind
+    keyword: str | None = None
+    payload: str | None = None
+    subject_at = 0
+    commutative = False
+
+    @classmethod
+    def from_section(cls, subject: StructuredName, item) -> AtomicAxiom:
+        """The axiom one item of a ``keyword`` section means in the frame of
+        ``subject``; the item is shaped as :data:`SECTION_ITEM_ROLES` says."""
+        values = [] if cls.payload is not None else list(item) if len(cls.roles) > 2 else [item]
+        at = cls.subject_at
+        values.insert(at, Named(subject) if cls.roles[at] is EXPR else subject)
+        return cls(*values)
 
 
 @dataclass(frozen=True)
 class Declaration(AtomicAxiom):
+    """A frame header: ``name`` is an entity of ``kind``."""
+
     kind: EntityKind
     name: StructuredName
+    roles = (None, DECLARED)
+    subject_at = 1
+
+    @property
+    def frame_kind(self) -> EntityKind:
+        return self.kind
 
 
 @dataclass(frozen=True)
 class SubClassOf(AtomicAxiom):
     sub: ClassExpr
     sup: ClassExpr
+    roles = (EXPR, EXPR)
+    frame_kind, keyword = EntityKind.CLASS, "SubClassOf"
 
 
 @dataclass(frozen=True)
 class EquivalentClasses(AtomicAxiom):
     a: ClassExpr
     b: ClassExpr
+    roles = (EXPR, EXPR)
+    frame_kind, keyword = EntityKind.CLASS, "EquivalentTo"
+    commutative = True
 
 
 @dataclass(frozen=True)
 class DisjointClasses(AtomicAxiom):
     a: ClassExpr
     b: ClassExpr
+    roles = (EXPR, EXPR)
+    frame_kind, keyword = EntityKind.CLASS, "DisjointWith"
+    commutative = True
 
 
 @dataclass(frozen=True)
 class ObjectPropertyDomain(AtomicAxiom):
     prop: StructuredName
     cls: ClassExpr
+    roles = (EntityKind.OBJECT_PROPERTY, EXPR)
+    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Domain"
 
 
 @dataclass(frozen=True)
 class ObjectPropertyRange(AtomicAxiom):
     prop: StructuredName
     cls: ClassExpr
+    roles = (EntityKind.OBJECT_PROPERTY, EXPR)
+    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Range"
 
 
 @dataclass(frozen=True)
 class InverseProperties(AtomicAxiom):
     prop: StructuredName
     inverse: StructuredName
+    roles = (EntityKind.OBJECT_PROPERTY, EntityKind.OBJECT_PROPERTY)
+    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "InverseOf"
 
 
 @dataclass(frozen=True)
 class FunctionalProperty(AtomicAxiom):
     prop: StructuredName
+    roles = (EntityKind.OBJECT_PROPERTY,)
+    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Characteristics"
+    payload = "Functional"
 
 
 @dataclass(frozen=True)
 class InverseFunctionalProperty(AtomicAxiom):
     prop: StructuredName
+    roles = (EntityKind.OBJECT_PROPERTY,)
+    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Characteristics"
+    payload = "InverseFunctional"
 
 
 @dataclass(frozen=True)
 class SubPropertyOf(AtomicAxiom):
     sub: StructuredName
     sup: StructuredName
+    roles = (EntityKind.OBJECT_PROPERTY, EntityKind.OBJECT_PROPERTY)
+    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "SubPropertyOf"
 
 
 @dataclass(frozen=True)
 class ClassAssertion(AtomicAxiom):
     cls: ClassExpr
     individual: StructuredName
+    roles = (EXPR, EntityKind.INDIVIDUAL)
+    frame_kind, keyword = EntityKind.INDIVIDUAL, "Types"
+    subject_at = 1
 
 
 @dataclass(frozen=True)
@@ -209,35 +280,96 @@ class PropertyAssertion(AtomicAxiom):
     prop: StructuredName
     subject: StructuredName
     object: StructuredName
+    roles = (EntityKind.OBJECT_PROPERTY, EntityKind.INDIVIDUAL, EntityKind.INDIVIDUAL)
+    frame_kind, keyword = EntityKind.INDIVIDUAL, "Facts"
+    subject_at = 1
+
+
+def _derive(cls: type[AtomicAxiom]) -> None:
+    """Precompute from the schema what the walks below read, so that their
+    work per call stays flat: a getter of the field values (by attribute, as
+    ``vars()`` would give each axiom a dict of its own), (index, role) of each
+    name or class-expression field, the indices of the class-expression
+    fields, and per choice of subject field the fields of the section text."""
+    get = attrgetter(*(f.name for f in fields(cls)))
+    cls._values = get if len(cls.roles) > 1 else lambda ax: (get(ax),)
+    cls._positions = tuple((i, r) for i, r in enumerate(cls.roles) if r is not None)
+    cls._exprs = tuple(i for i, r in cls._positions if r is EXPR)
+    cls._text = [tuple(p for p in cls._positions if p[0] != at) for at in range(len(cls.roles))]
+
+
+# section keyword -> (frame kind, {payload: axiom type}); the payload is None
+# for a section whose items fill the fields besides the subject.
+SECTIONS: dict[str, tuple[EntityKind, dict[str | None, type[AtomicAxiom]]]] = {}
+for _cls in AtomicAxiom.__subclasses__():
+    _derive(_cls)
+    if _cls.keyword is not None:
+        _, _types = SECTIONS.setdefault(_cls.keyword, (_cls.frame_kind, {}))
+        _types[_cls.payload] = _cls
+
+# section keyword -> roles of the fields one item fills: a one-field item is
+# the value itself, a longer one a tuple; an item of a constant-payload
+# section (no roles) is the payload word.
+SECTION_ITEM_ROLES: dict[str, tuple] = {
+    cls.keyword: () if cls.payload else tuple(r for _, r in cls._text[cls.subject_at])
+    for _, types in SECTIONS.values()
+    for cls in types.values()
+}
+
+
+def _render(role, value) -> str:
+    return render_expr(value) if role is EXPR else value.render()
+
+
+def render_item(keyword: str, item) -> str:
+    """One item of a ``keyword`` section as source text."""
+    roles = SECTION_ITEM_ROLES[keyword]
+    if not roles:
+        return item
+    return " ".join(map(_render, roles, (item,) if len(roles) == 1 else item))
+
+
+def _section_text(ax: AtomicAxiom, values: tuple, at: int) -> str | None:
+    """The section text of ``ax`` written in the frame of field ``at``: the
+    constant payload, or the other fields in order; None for a Declaration."""
+    if ax.keyword is None or ax.payload is not None:
+        return ax.payload
+    parts = []  # _render inlined: this runs once per emitted axiom
+    for i, role in ax._text[at]:
+        parts.append(render_expr(values[i]) if role is EXPR else values[i].render())
+    return " ".join(parts)
 
 
 def render_axiom(ax: AtomicAxiom) -> str:
     """One-line Manchester frame fragment; used for reports and diffs."""
-    if isinstance(ax, Declaration):
-        return f"{ax.kind}: {ax.name}"
-    if isinstance(ax, SubClassOf):
-        return f"Class: {render_expr(ax.sub)} SubClassOf: {render_expr(ax.sup)}"
-    if isinstance(ax, EquivalentClasses):
-        return f"Class: {render_expr(ax.a)} EquivalentTo: {render_expr(ax.b)}"
-    if isinstance(ax, DisjointClasses):
-        return f"Class: {render_expr(ax.a)} DisjointWith: {render_expr(ax.b)}"
-    if isinstance(ax, ObjectPropertyDomain):
-        return f"ObjectProperty: {ax.prop} Domain: {render_expr(ax.cls)}"
-    if isinstance(ax, ObjectPropertyRange):
-        return f"ObjectProperty: {ax.prop} Range: {render_expr(ax.cls)}"
-    if isinstance(ax, InverseProperties):
-        return f"ObjectProperty: {ax.prop} InverseOf: {ax.inverse}"
-    if isinstance(ax, FunctionalProperty):
-        return f"ObjectProperty: {ax.prop} Characteristics: Functional"
-    if isinstance(ax, InverseFunctionalProperty):
-        return f"ObjectProperty: {ax.prop} Characteristics: InverseFunctional"
-    if isinstance(ax, SubPropertyOf):
-        return f"ObjectProperty: {ax.sub} SubPropertyOf: {ax.sup}"
-    if isinstance(ax, ClassAssertion):
-        return f"Individual: {ax.individual} Types: {render_expr(ax.cls)}"
-    if isinstance(ax, PropertyAssertion):
-        return f"Individual: {ax.subject} Facts: {ax.prop} {ax.object}"
-    raise TypeError(f"unknown axiom {ax!r}")  # pragma: no cover
+    values = type(ax)._values(ax)
+    at = ax.subject_at
+    head = f"{ax.frame_kind}: {_render(ax.roles[at], values[at])}"
+    text = _section_text(ax, values, at)
+    return head if text is None else f"{head} {ax.keyword}: {text}"
+
+
+def frame_entry(ax: AtomicAxiom) -> tuple[StructuredName, str | None, str | None]:
+    """Where the emitter writes ``ax``: frame subject, section keyword and
+    section text (keyword and text None for a Declaration, a frame header). A
+    class-expression subject must be a named class other than owl:Thing; a
+    commutative axiom takes it from either side, the first side first."""
+    values = type(ax)._values(ax)
+    at = ax.subject_at
+    subject = values[at]
+    if ax.roles[at] is EXPR:
+        sides = (0, 1) if ax.commutative else (at,)
+        for at in sides:
+            subject = values[at]
+            if isinstance(subject, Named) and not subject.is_thing:
+                subject = subject.name
+                break
+        else:
+            raise GodpError(
+                "UnsupportedConstruct",
+                "axiom has no named subject to attach a frame to: " + type(ax).__name__,
+            )
+    return subject, ax.keyword, _section_text(ax, values, at)
 
 
 # ---------------------------------------------------------------------------
@@ -265,27 +397,17 @@ def normalize_expr(e: ClassExpr) -> ClassExpr:
     raise TypeError(f"unknown class expression {e!r}")  # pragma: no cover
 
 
-def _sort_pair(a: ClassExpr, b: ClassExpr) -> tuple[ClassExpr, ClassExpr]:
-    return (a, b) if render_expr(a) <= render_expr(b) else (b, a)
-
-
 def normalize_axiom(ax: AtomicAxiom) -> AtomicAxiom:
     """Canonical form: commutative operands sorted, everything else preserved."""
-    if isinstance(ax, SubClassOf):
-        return SubClassOf(normalize_expr(ax.sub), normalize_expr(ax.sup))
-    if isinstance(ax, EquivalentClasses):
-        a, b = _sort_pair(normalize_expr(ax.a), normalize_expr(ax.b))
-        return EquivalentClasses(a, b)
-    if isinstance(ax, DisjointClasses):
-        a, b = _sort_pair(normalize_expr(ax.a), normalize_expr(ax.b))
-        return DisjointClasses(a, b)
-    if isinstance(ax, ObjectPropertyDomain):
-        return ObjectPropertyDomain(ax.prop, normalize_expr(ax.cls))
-    if isinstance(ax, ObjectPropertyRange):
-        return ObjectPropertyRange(ax.prop, normalize_expr(ax.cls))
-    if isinstance(ax, ClassAssertion):
-        return ClassAssertion(normalize_expr(ax.cls), ax.individual)
-    return ax
+    cls = type(ax)
+    if not cls._exprs:
+        return ax
+    values = list(cls._values(ax))
+    for i in cls._exprs:
+        values[i] = normalize_expr(values[i])
+    if cls.commutative and render_expr(values[1]) < render_expr(values[0]):
+        values.reverse()
+    return cls(*values)
 
 
 def axioms_equal(a: AtomicAxiom, b: AtomicAxiom) -> bool:
@@ -297,83 +419,16 @@ def axioms_equal(a: AtomicAxiom, b: AtomicAxiom) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _expr_names(e: ClassExpr) -> list[StructuredName]:
-    if isinstance(e, Named):
-        return [e.name]
-    if isinstance(e, (SomeValuesFrom, AllValuesFrom, Cardinality)):
-        return [e.prop] + _expr_names(e.filler)
-    if isinstance(e, Not):
-        return _expr_names(e.operand)
-    if isinstance(e, (And, Or)):
-        out: list[StructuredName] = []
-        for op in e.operands:
-            out.extend(_expr_names(op))
-        return out
-    raise TypeError(f"unknown class expression {e!r}")  # pragma: no cover
-
-
-def axiom_names(ax: AtomicAxiom) -> list[StructuredName]:
-    """Names in entity positions, in textual order (no constituent closure)."""
-    if isinstance(ax, Declaration):
-        return [ax.name]
-    if isinstance(ax, SubClassOf):
-        return _expr_names(ax.sub) + _expr_names(ax.sup)
-    if isinstance(ax, (EquivalentClasses, DisjointClasses)):
-        return _expr_names(ax.a) + _expr_names(ax.b)
-    if isinstance(ax, (ObjectPropertyDomain, ObjectPropertyRange)):
-        return [ax.prop] + _expr_names(ax.cls)
-    if isinstance(ax, InverseProperties):
-        return [ax.prop, ax.inverse]
-    if isinstance(ax, (FunctionalProperty, InverseFunctionalProperty)):
-        return [ax.prop]
-    if isinstance(ax, SubPropertyOf):
-        return [ax.sub, ax.sup]
-    if isinstance(ax, ClassAssertion):
-        return _expr_names(ax.cls) + [ax.individual]
-    if isinstance(ax, PropertyAssertion):
-        return [ax.prop, ax.subject, ax.object]
-    raise TypeError(f"unknown axiom {ax!r}")  # pragma: no cover
-
-
-def mentions(ax: AtomicAxiom) -> frozenset[StructuredName]:
-    """Every StructuredName occurring in ``ax``, closed under constituents."""
-    out: set[StructuredName] = set()
-    for n in axiom_names(ax):
-        out |= n.closure()
-    return frozenset(out)
-
-
 def referenced_kinds(ax: AtomicAxiom) -> list[tuple[StructuredName, EntityKind]]:
-    """Entity-position names with the kind implied by their position."""
+    """Entity-position names in textual order (no constituent closure), each
+    with the kind its position implies."""
     pairs: list[tuple[StructuredName, EntityKind]] = []
-    expr = lambda e: _expr_kinds(e, pairs)  # noqa: E731
-
-    if isinstance(ax, Declaration):
-        pairs.append((ax.name, ax.kind))
-    elif isinstance(ax, SubClassOf):
-        expr(ax.sub)
-        expr(ax.sup)
-    elif isinstance(ax, (EquivalentClasses, DisjointClasses)):
-        expr(ax.a)
-        expr(ax.b)
-    elif isinstance(ax, (ObjectPropertyDomain, ObjectPropertyRange)):
-        pairs.append((ax.prop, EntityKind.OBJECT_PROPERTY))
-        expr(ax.cls)
-    elif isinstance(ax, InverseProperties):
-        pairs.append((ax.prop, EntityKind.OBJECT_PROPERTY))
-        pairs.append((ax.inverse, EntityKind.OBJECT_PROPERTY))
-    elif isinstance(ax, (FunctionalProperty, InverseFunctionalProperty)):
-        pairs.append((ax.prop, EntityKind.OBJECT_PROPERTY))
-    elif isinstance(ax, SubPropertyOf):
-        pairs.append((ax.sub, EntityKind.OBJECT_PROPERTY))
-        pairs.append((ax.sup, EntityKind.OBJECT_PROPERTY))
-    elif isinstance(ax, ClassAssertion):
-        expr(ax.cls)
-        pairs.append((ax.individual, EntityKind.INDIVIDUAL))
-    elif isinstance(ax, PropertyAssertion):
-        pairs.append((ax.prop, EntityKind.OBJECT_PROPERTY))
-        pairs.append((ax.subject, EntityKind.INDIVIDUAL))
-        pairs.append((ax.object, EntityKind.INDIVIDUAL))
+    values = type(ax)._values(ax)
+    for i, role in ax._positions:
+        if role is EXPR:
+            _expr_kinds(values[i], pairs)
+        else:
+            pairs.append((values[i], ax.kind if role is DECLARED else role))
     return pairs
 
 
@@ -391,6 +446,19 @@ def _expr_kinds(e: ClassExpr, pairs: list[tuple[StructuredName, EntityKind]]) ->
     elif isinstance(e, (And, Or)):
         for op in e.operands:
             _expr_kinds(op, pairs)
+
+
+def axiom_names(ax: AtomicAxiom) -> list[StructuredName]:
+    """Names in entity positions, in textual order (no constituent closure)."""
+    return [n for n, _ in referenced_kinds(ax)]
+
+
+def mentions(ax: AtomicAxiom) -> frozenset[StructuredName]:
+    """Every StructuredName occurring in ``ax``, closed under constituents."""
+    out: set[StructuredName] = set()
+    for n, _ in referenced_kinds(ax):
+        out |= n.closure()
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -418,32 +486,12 @@ def map_expr_names(e: ClassExpr, fn) -> ClassExpr:
 
 
 def map_axiom_names(ax: AtomicAxiom, fn) -> AtomicAxiom:
-    expr = lambda e: map_expr_names(e, fn)  # noqa: E731
-    if isinstance(ax, Declaration):
-        return Declaration(ax.kind, fn(ax.name))
-    if isinstance(ax, SubClassOf):
-        return SubClassOf(expr(ax.sub), expr(ax.sup))
-    if isinstance(ax, EquivalentClasses):
-        return EquivalentClasses(expr(ax.a), expr(ax.b))
-    if isinstance(ax, DisjointClasses):
-        return DisjointClasses(expr(ax.a), expr(ax.b))
-    if isinstance(ax, ObjectPropertyDomain):
-        return ObjectPropertyDomain(fn(ax.prop), expr(ax.cls))
-    if isinstance(ax, ObjectPropertyRange):
-        return ObjectPropertyRange(fn(ax.prop), expr(ax.cls))
-    if isinstance(ax, InverseProperties):
-        return InverseProperties(fn(ax.prop), fn(ax.inverse))
-    if isinstance(ax, FunctionalProperty):
-        return FunctionalProperty(fn(ax.prop))
-    if isinstance(ax, InverseFunctionalProperty):
-        return InverseFunctionalProperty(fn(ax.prop))
-    if isinstance(ax, SubPropertyOf):
-        return SubPropertyOf(fn(ax.sub), fn(ax.sup))
-    if isinstance(ax, ClassAssertion):
-        return ClassAssertion(expr(ax.cls), fn(ax.individual))
-    if isinstance(ax, PropertyAssertion):
-        return PropertyAssertion(fn(ax.prop), fn(ax.subject), fn(ax.object))
-    raise TypeError(f"unknown axiom {ax!r}")  # pragma: no cover
+    """Apply ``fn`` to every entity-position name in the axiom, in textual order."""
+    cls = type(ax)
+    values = list(cls._values(ax))
+    for i, role in cls._positions:
+        values[i] = map_expr_names(values[i], fn) if role is EXPR else fn(values[i])
+    return cls(*values)
 
 
 def substitute_axiom(ax: AtomicAxiom, mapping: dict[StructuredName, StructuredName]) -> AtomicAxiom:

@@ -8,25 +8,7 @@ their section, so equal inputs produce byte-identical output.
 
 from __future__ import annotations
 
-from .axioms import (
-    AtomicAxiom,
-    ClassAssertion,
-    Declaration,
-    DisjointClasses,
-    EntityKind,
-    EquivalentClasses,
-    FunctionalProperty,
-    InverseFunctionalProperty,
-    InverseProperties,
-    Named,
-    ObjectPropertyDomain,
-    ObjectPropertyRange,
-    PropertyAssertion,
-    SubClassOf,
-    SubPropertyOf,
-    axiom_names,
-    render_expr,
-)
+from .axioms import SECTION_KEYWORDS, EntityKind, frame_entry, referenced_kinds
 from .diagnostics import GodpError
 from .names import StructuredName
 from .ontology import FlatOntology
@@ -38,85 +20,28 @@ _KIND_ORDER = {
     EntityKind.INDIVIDUAL: 3,
 }
 
-_SECTION_ORDER = {
-    "Characteristics": 0,
-    "Domain": 1,
-    "Range": 2,
-    "InverseOf": 3,
-    "SubPropertyOf": 4,
-    "SubClassOf": 5,
-    "EquivalentTo": 6,
-    "DisjointWith": 7,
-    "Types": 8,
-    "Facts": 9,
-}
+_SECTION_ORDER = {keyword: i for i, keyword in enumerate(SECTION_KEYWORDS)}
 
 
 def emit_manchester(o: FlatOntology, allow_structured: bool = False) -> str:
     if not allow_structured:
         for ax in o.axioms:
-            for n in axiom_names(ax):
+            for n, _ in referenced_kinds(ax):
                 if not n.is_plain:
                     raise GodpError(
                         "UnstratifiedName",
                         f"structured name {n} survives in the output; stratify first",
                     )
 
-    # frame key -> (kind, list of (section keyword, payload line))
+    # frame subject -> (kind, list of (section keyword, section text))
     frames: dict[StructuredName, tuple[EntityKind, list[tuple[str, str]]]] = {}
-
-    def frame_for(subject: StructuredName, kind: EntityKind):
+    for ax in o.axioms:
+        subject, keyword, text = frame_entry(ax)
         entry = frames.get(subject)
         if entry is None:
-            entry = (kind, [])
-            frames[subject] = entry
-        return entry[1]
-
-    def subject_expr(ax: AtomicAxiom, *candidates) -> StructuredName:
-        for c in candidates:
-            if isinstance(c, Named) and not c.is_thing:
-                return c.name
-        raise GodpError(
-            "UnsupportedConstruct",
-            "axiom has no named subject to attach a frame to: " + type(ax).__name__,
-        )
-
-    for ax in o.axioms:
-        if isinstance(ax, Declaration):
-            frame_for(ax.name, ax.kind)
-        elif isinstance(ax, SubClassOf):
-            subj = subject_expr(ax, ax.sub)
-            frame_for(subj, EntityKind.CLASS).append(("SubClassOf", render_expr(ax.sup)))
-        elif isinstance(ax, EquivalentClasses):
-            subj = subject_expr(ax, ax.a, ax.b)
-            other = ax.b if isinstance(ax.a, Named) and ax.a.name == subj else ax.a
-            frame_for(subj, EntityKind.CLASS).append(("EquivalentTo", render_expr(other)))
-        elif isinstance(ax, DisjointClasses):
-            subj = subject_expr(ax, ax.a, ax.b)
-            other = ax.b if isinstance(ax.a, Named) and ax.a.name == subj else ax.a
-            frame_for(subj, EntityKind.CLASS).append(("DisjointWith", render_expr(other)))
-        elif isinstance(ax, ObjectPropertyDomain):
-            frame_for(ax.prop, EntityKind.OBJECT_PROPERTY).append(("Domain", render_expr(ax.cls)))
-        elif isinstance(ax, ObjectPropertyRange):
-            frame_for(ax.prop, EntityKind.OBJECT_PROPERTY).append(("Range", render_expr(ax.cls)))
-        elif isinstance(ax, InverseProperties):
-            frame_for(ax.prop, EntityKind.OBJECT_PROPERTY).append(("InverseOf", ax.inverse.render()))
-        elif isinstance(ax, FunctionalProperty):
-            frame_for(ax.prop, EntityKind.OBJECT_PROPERTY).append(("Characteristics", "Functional"))
-        elif isinstance(ax, InverseFunctionalProperty):
-            frame_for(ax.prop, EntityKind.OBJECT_PROPERTY).append(
-                ("Characteristics", "InverseFunctional")
-            )
-        elif isinstance(ax, SubPropertyOf):
-            frame_for(ax.sub, EntityKind.OBJECT_PROPERTY).append(("SubPropertyOf", ax.sup.render()))
-        elif isinstance(ax, ClassAssertion):
-            frame_for(ax.individual, EntityKind.INDIVIDUAL).append(("Types", render_expr(ax.cls)))
-        elif isinstance(ax, PropertyAssertion):
-            frame_for(ax.subject, EntityKind.INDIVIDUAL).append(
-                ("Facts", f"{ax.prop} {ax.object}")
-            )
-        else:  # pragma: no cover - closed hierarchy
-            raise TypeError(f"unknown axiom {ax!r}")
+            entry = frames[subject] = (ax.frame_kind, [])
+        if keyword is not None:
+            entry[1].append((keyword, text))
 
     if not frames:
         return ""
@@ -128,10 +53,8 @@ def emit_manchester(o: FlatOntology, allow_structured: bool = False) -> str:
     blocks: list[str] = []
     for subject, (kind, sections) in ordered:
         lines = [f"{kind}: {subject.render()}"]
-        stable = sorted(
-            enumerate(sections), key=lambda pair: (_SECTION_ORDER[pair[1][0]], pair[0])
-        )
-        for _, (keyword, payload) in stable:
-            lines.append(f"  {keyword}: {payload}")
+        # sorted() is stable: a section's axioms keep their first-occurrence order.
+        for keyword, text in sorted(sections, key=lambda section: _SECTION_ORDER[section[0]]):
+            lines.append(f"  {keyword}: {text}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

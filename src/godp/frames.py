@@ -9,24 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (
-    AtomicAxiom,
-    ClassAssertion,
-    Declaration,
-    DisjointClasses,
-    EntityKind,
-    EquivalentClasses,
-    FunctionalProperty,
-    InverseFunctionalProperty,
-    InverseProperties,
-    Named,
-    ObjectPropertyDomain,
-    ObjectPropertyRange,
-    PropertyAssertion,
-    SubClassOf,
-    SubPropertyOf,
-    render_expr,
-)
+from .axioms import SECTIONS, AtomicAxiom, Declaration, EntityKind, render_item
 from .diagnostics import GodpError, Span
 from .names import StructuredName
 
@@ -34,12 +17,7 @@ from .names import StructuredName
 @dataclass(frozen=True)
 class Section:
     keyword: str
-    # Payload per keyword:
-    #   SubClassOf/EquivalentTo/DisjointWith/Domain/Range/Types -> ClassExpr
-    #   InverseOf/SubPropertyOf                                 -> StructuredName
-    #   Characteristics                                         -> str
-    #   Facts                                                   -> (prop, individual)
-    items: tuple
+    items: tuple  # each shaped as axioms.SECTION_ITEM_ROLES[keyword] says
     span: Span | None = None
 
 
@@ -51,66 +29,22 @@ class Frame:
     span: Span | None = None
 
 
-CLASS_SECTIONS = ("SubClassOf", "EquivalentTo", "DisjointWith")
-PROPERTY_SECTIONS = ("Characteristics", "Domain", "Range", "InverseOf", "SubPropertyOf")
-INDIVIDUAL_SECTIONS = ("Types", "Facts")
-
-CHARACTERISTICS = {"Functional", "InverseFunctional"}
-
-
 def desugar_frames(frames: list[Frame] | tuple[Frame, ...]) -> list[AtomicAxiom]:
     out: list[AtomicAxiom] = []
     for frame in frames:
         out.append(Declaration(frame.kind, frame.subject))
         for section in frame.sections:
-            out.extend(_desugar_section(frame, section))
+            kind, types = SECTIONS.get(section.keyword, (None, None))
+            if kind is not frame.kind:
+                # Not a section of this frame kind (DataProperty frames have none).
+                raise _unsupported(section.keyword, frame, section)
+            for item in section.items:
+                # In a constant-payload section (Characteristics) the item picks the type.
+                cls = types.get(None) or types.get(item)
+                if cls is None:
+                    raise _unsupported(f"{section.keyword}: {item}", frame, section)
+                out.append(cls.from_section(frame.subject, item))
     return out
-
-
-def _desugar_section(frame: Frame, section: Section) -> list[AtomicAxiom]:
-    subj = frame.subject
-    kw = section.keyword
-    axioms: list[AtomicAxiom] = []
-    if frame.kind is EntityKind.CLASS:
-        cls = Named(subj)
-        if kw == "SubClassOf":
-            axioms = [SubClassOf(cls, e) for e in section.items]
-        elif kw == "EquivalentTo":
-            axioms = [EquivalentClasses(cls, e) for e in section.items]
-        elif kw == "DisjointWith":
-            axioms = [DisjointClasses(cls, e) for e in section.items]
-        else:
-            raise _unsupported(kw, frame, section)
-    elif frame.kind is EntityKind.OBJECT_PROPERTY:
-        if kw == "Domain":
-            axioms = [ObjectPropertyDomain(subj, e) for e in section.items]
-        elif kw == "Range":
-            axioms = [ObjectPropertyRange(subj, e) for e in section.items]
-        elif kw == "InverseOf":
-            axioms = [InverseProperties(subj, n) for n in section.items]
-        elif kw == "SubPropertyOf":
-            axioms = [SubPropertyOf(subj, n) for n in section.items]
-        elif kw == "Characteristics":
-            for c in section.items:
-                if c == "Functional":
-                    axioms.append(FunctionalProperty(subj))
-                elif c == "InverseFunctional":
-                    axioms.append(InverseFunctionalProperty(subj))
-                else:
-                    raise _unsupported(f"Characteristics: {c}", frame, section)
-        else:
-            raise _unsupported(kw, frame, section)
-    elif frame.kind is EntityKind.INDIVIDUAL:
-        if kw == "Types":
-            axioms = [ClassAssertion(e, subj) for e in section.items]
-        elif kw == "Facts":
-            axioms = [PropertyAssertion(p, subj, o) for (p, o) in section.items]
-        else:
-            raise _unsupported(kw, frame, section)
-    else:
-        # DataProperty frames carry no sections in the supported subset.
-        raise _unsupported(kw, frame, section)
-    return axioms
 
 
 def _unsupported(kw: str, frame: Frame, section: Section) -> GodpError:
@@ -125,13 +59,6 @@ def render_frame(frame: Frame, indent: str = "  ") -> list[str]:
     """Frame as .gdol/.omn source lines, one section per line."""
     lines = [f"{frame.kind}: {frame.subject}"]
     for section in frame.sections:
-        if section.keyword == "Characteristics":
-            payload = ", ".join(section.items)
-        elif section.keyword in ("InverseOf", "SubPropertyOf"):
-            payload = ", ".join(n.render() for n in section.items)
-        elif section.keyword == "Facts":
-            payload = ", ".join(f"{p} {o}" for (p, o) in section.items)
-        else:
-            payload = ", ".join(render_expr(e) for e in section.items)
+        payload = ", ".join(render_item(section.keyword, item) for item in section.items)
         lines.append(f"{indent}{section.keyword}: {payload}")
     return lines

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import axioms
 from .diagnostics import GodpError, Span
 
 KEYWORDS = frozenset({"library", "ontology", "pattern", "end", "then", "and", "fit"})
@@ -18,22 +19,8 @@ KEYWORDS = frozenset({"library", "ontology", "pattern", "end", "then", "and", "f
 # expressions unambiguous.
 EXPR_WORDS = frozenset({"some", "only", "not", "min", "max", "exactly", "or"})
 
-FRAME_KEYWORDS = frozenset({"Class", "ObjectProperty", "DataProperty", "Individual"})
-
-SECTION_KEYWORDS = frozenset(
-    {
-        "SubClassOf",
-        "EquivalentTo",
-        "DisjointWith",
-        "Domain",
-        "Range",
-        "InverseOf",
-        "SubPropertyOf",
-        "Characteristics",
-        "Types",
-        "Facts",
-    }
-)
+FRAME_KEYWORDS = frozenset(kind.value for kind in axioms.EntityKind)
+SECTION_KEYWORDS = frozenset(axioms.SECTION_KEYWORDS)
 
 # Recognized Manchester constructs outside the supported subset; the parser
 # reports these as UnsupportedConstruct rather than a plain syntax error.

@@ -12,6 +12,8 @@ parenthesized ontology expressions are accepted anywhere an expression is.
 from __future__ import annotations
 
 from .axioms import (
+    EXPR,
+    SECTION_ITEM_ROLES,
     AllValuesFrom,
     And,
     Cardinality,
@@ -66,19 +68,6 @@ from .syntax import (
     SymbolParam,
     Then,
 )
-
-_KIND_BY_WORD = {
-    "Class": EntityKind.CLASS,
-    "ObjectProperty": EntityKind.OBJECT_PROPERTY,
-    "DataProperty": EntityKind.DATA_PROPERTY,
-    "Individual": EntityKind.INDIVIDUAL,
-}
-
-_NAME_SECTIONS = frozenset({"InverseOf", "SubPropertyOf"})
-_EXPR_SECTIONS = frozenset(
-    {"SubClassOf", "EquivalentTo", "DisjointWith", "Domain", "Range", "Types"}
-)
-
 
 class _Parser:
     def __init__(self, text: str, file: str | None = None):
@@ -189,7 +178,12 @@ class _Parser:
             return SomeValuesFrom(n, filler) if word == "some" else AllValuesFrom(n, filler)
         if self.at(IDENT) and self.tok.value in ("min", "max", "exactly"):
             bound = self.advance().value
-            count = int(self.expect(INT, expected="a non-negative integer").value)
+            digits = self.expect(INT, expected="a non-negative integer")
+            try:
+                count = int(digits.value)
+            except ValueError:  # more digits than int() converts
+                message = f"cardinality of {len(digits.value)} digits is too large"
+                raise GodpError("SyntaxError", message, digits.span, self.file) from None
             filler = self.parse_primary()
             return Cardinality(n, bound, count, filler)
         return Named(n)
@@ -198,7 +192,7 @@ class _Parser:
 
     def parse_frame(self) -> Frame:
         t = self.expect(FRAME_KW)
-        kind = _KIND_BY_WORD[t.value]
+        kind = EntityKind(t.value)
         subject = self.parse_name()
         sections: list[Section] = []
         while True:
@@ -207,36 +201,21 @@ class _Parser:
             if not self.at(SECTION_KW):
                 break
             st = self.advance()
-            kw = st.value
-            if kw in _EXPR_SECTIONS:
-                items: list = [self.parse_class_expr()]
-                while self.at(COMMA):
-                    self.advance()
-                    items.append(self.parse_class_expr())
-            elif kw in _NAME_SECTIONS:
-                items = [self.parse_name()]
-                while self.at(COMMA):
-                    self.advance()
-                    items.append(self.parse_name())
-            elif kw == "Characteristics":
-                items = [self.expect(IDENT, expected="a characteristic").value]
-                while self.at(COMMA):
-                    self.advance()
-                    items.append(self.expect(IDENT, expected="a characteristic").value)
-            elif kw == "Facts":
-                items = [self._parse_fact()]
-                while self.at(COMMA):
-                    self.advance()
-                    items.append(self._parse_fact())
-            else:  # pragma: no cover - keyword sets are exhaustive
-                raise self.error("a frame section")
-            sections.append(Section(kw, tuple(items), st.span))
+            roles = SECTION_ITEM_ROLES[st.value]
+            items = [self.parse_section_item(roles)]
+            while self.at(COMMA):
+                self.advance()
+                items.append(self.parse_section_item(roles))
+            sections.append(Section(st.value, tuple(items), st.span))
         return Frame(kind, subject, tuple(sections), t.span)
 
-    def _parse_fact(self) -> tuple[StructuredName, StructuredName]:
-        prop = self.parse_name()
-        obj = self.parse_name()
-        return (prop, obj)
+    def parse_section_item(self, roles: tuple):
+        """One comma-separated section item, shaped as ``roles`` says (see
+        axioms.SECTION_ITEM_ROLES)."""
+        if not roles:
+            return self.expect(IDENT, expected="a characteristic").value
+        values = [self.parse_class_expr() if role is EXPR else self.parse_name() for role in roles]
+        return values[0] if len(values) == 1 else tuple(values)
 
     def parse_basic(self) -> Basic:
         start = self.tok
@@ -294,7 +273,7 @@ class _Parser:
             kt = self.advance()
             n = self.parse_name()
             self.expect(RBRACKET, expected="']'")
-            return SymbolArg(_KIND_BY_WORD[kt.value], n, lb.span)
+            return SymbolArg(EntityKind(kt.value), n, lb.span)
         start = self.tok
         n = self.parse_name()
         if self.at(KEYWORD, "fit"):
@@ -325,22 +304,16 @@ class _Parser:
         if self.at(KEYWORD, "ontology"):
             self.advance()
             self.expect(LBRACE, expected="'{'")
-            frames = []
-            while not self.at(RBRACE):
-                if self.at(UNSUPPORTED_KW):
-                    raise self.unsupported(self.tok)
-                if not self.at(FRAME_KW):
-                    raise self.error("a frame or '}'")
-                frames.append(self.parse_frame())
+            frames = self.parse_frames_until(RBRACE, "a frame or '}'")
             self.advance()
             optional = self._parse_optional_marker()
             self.expect(RBRACKET, expected="']'")
-            return OntologyParam(tuple(frames), optional, lb.span)
+            return OntologyParam(frames, optional, lb.span)
         kt = self.expect(FRAME_KW, expected="a parameter kind such as 'Class:'")
         name = self.parse_plain_name("a parameter name")
         optional = self._parse_optional_marker()
         self.expect(RBRACKET, expected="']'")
-        return SymbolParam(_KIND_BY_WORD[kt.value], name, optional, lb.span)
+        return SymbolParam(EntityKind(kt.value), name, optional, lb.span)
 
     def _parse_optional_marker(self) -> bool:
         if self.at(QUESTION):
@@ -376,13 +349,13 @@ class _Parser:
             items.append(self.parse_item())
         return Library(name, tuple(items), t.span)
 
-    def parse_frames_document(self) -> tuple[Frame, ...]:
+    def parse_frames_until(self, end: str, expected: str) -> tuple[Frame, ...]:
         frames = []
-        while not self.at(EOF):
+        while not self.at(end):
             if self.at(UNSUPPORTED_KW):
                 raise self.unsupported(self.tok)
             if not self.at(FRAME_KW):
-                raise self.error("a frame")
+                raise self.error(expected)
             frames.append(self.parse_frame())
         return tuple(frames)
 
@@ -393,7 +366,7 @@ def parse_library(text: str, file: str | None = None) -> Library:
 
 def parse_frames(text: str, file: str | None = None) -> tuple[Frame, ...]:
     """Parse a bare Manchester frame document (as produced by the emitter)."""
-    return _Parser(text, file).parse_frames_document()
+    return _Parser(text, file).parse_frames_until(EOF, "a frame")
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,17 @@ from .diagnostics import Diagnostic, GodpError, Span
 from .frames import desugar_frames
 from .names import THING_BASE, StructuredName
 from .syntax import (
-    AndExpr,
+    Basic,
     Instantiate,
     Library,
     OmittedArg,
     OntologyArg,
     OntologyDef,
-    OntologyExpr,
     OntologyParam,
     PatternDef,
     Ref,
     SymbolParam,
-    Then,
+    leaves,
 )
 
 
@@ -47,16 +46,14 @@ class ResolvedLibrary:
 
 
 def pattern_param_names(item: PatternDef) -> set[StructuredName]:
-    """Names a pattern's parameter list introduces (ontology params contribute
-    their declared symbols)."""
+    """Names a pattern's parameter list introduces: each symbol parameter, and
+    the symbols an ontology parameter declares, which are its frame subjects."""
     names: set[StructuredName] = set()
     for param in item.params:
         if isinstance(param, SymbolParam):
             names.add(param.name)
         else:
-            for ax in desugar_frames(param.frames):
-                if isinstance(ax, Declaration):
-                    names.add(ax.name)
+            names.update(frame.subject for frame in param.frames)
     return names
 
 
@@ -82,13 +79,13 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
         refs: list[str] = []
         references[item.name] = refs
 
-        def check_target(
-            name: str, span: Span, *, want_pattern: bool, arg_count: int | None
-        ) -> None:
+        def bind(name: str, span: Span):
+            """The item ``name`` refers to, recorded as a reference; None,
+            reported, if there is no such item."""
             target = table.get(name)
             if target is None:
                 report("UnresolvedReference", f"unknown reference {name!r}", span)
-                return
+                return None
             refs.append(name)
             if order[name] > order[item.name]:
                 report(
@@ -97,60 +94,33 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                     " references may only point backwards",
                     span,
                 )
-            if want_pattern and not isinstance(target, PatternDef):
-                report("NotAPattern", f"{name!r} is an ontology, not a pattern", span)
-                return
-            if not want_pattern and isinstance(target, PatternDef):
-                # A bare reference to a pattern is an instantiation with no
-                # argument groups; report the arity gap.
-                report(
-                    "ArityMismatch",
-                    f"pattern {name!r} expects {len(target.params)} argument(s), got 0",
-                    span,
-                )
-                return
-            if isinstance(target, PatternDef) and arg_count is not None:
-                if arg_count != len(target.params):
-                    report(
-                        "ArityMismatch",
-                        f"pattern {name!r} expects {len(target.params)} argument(s),"
-                        f" got {arg_count}",
-                        span,
-                    )
+            return target
 
         def check_ontology_arg(name: str, span: Span) -> None:
-            target = table.get(name)
-            if target is None:
-                report("UnresolvedReference", f"unknown reference {name!r}", span)
-                return
-            refs.append(name)
-            if order[name] > order[item.name]:
-                report(
-                    "ForwardReference",
-                    f"{name!r} is defined after {item.name!r};"
-                    " references may only point backwards",
-                    span,
-                )
-            if isinstance(target, PatternDef):
+            if isinstance(bind(name, span), PatternDef):
                 report(
                     "UnresolvedReference",
                     f"{name!r} is a pattern, but an ontology argument is required",
                     span,
                 )
 
-        def walk(expr: OntologyExpr) -> None:
-            if isinstance(expr, (Then, AndExpr)):
-                for part in expr.parts:
-                    walk(part)
-            elif isinstance(expr, Ref):
-                check_target(expr.name, expr.span, want_pattern=False, arg_count=None)
-            elif isinstance(expr, Instantiate):
-                check_target(
-                    expr.pattern, expr.span, want_pattern=True, arg_count=len(expr.args)
-                )
-                target = table.get(expr.pattern)
-                params = target.params if isinstance(target, PatternDef) else ()
-                for position, arg in enumerate(expr.args):
+        for leaf in leaves(item.body):
+            if isinstance(leaf, Ref):
+                target = bind(leaf.name, leaf.span)
+                if isinstance(target, PatternDef):
+                    # A bare reference to a pattern is an instantiation with
+                    # no argument groups; report the arity gap.
+                    report("ArityMismatch", _arity_message(target, 0), leaf.span)
+            elif isinstance(leaf, Instantiate):
+                target = bind(leaf.pattern, leaf.span)
+                params = ()
+                if isinstance(target, PatternDef):
+                    params = target.params
+                    if len(leaf.args) != len(params):
+                        report("ArityMismatch", _arity_message(target, len(leaf.args)), leaf.span)
+                elif target is not None:
+                    report("NotAPattern", f"{leaf.pattern!r} is an ontology, not a pattern", leaf.span)
+                for position, arg in enumerate(leaf.args):
                     if isinstance(arg, OntologyArg):
                         check_ontology_arg(arg.name, arg.span)
                     elif (
@@ -163,8 +133,6 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                         # Bare name in an ontology-parameter position: an
                         # ontology reference, not a symbol.
                         check_ontology_arg(arg.name.base, arg.span)
-
-        walk(item.body)
 
         if isinstance(item, PatternDef):
             _check_pattern(item, report)
@@ -190,6 +158,10 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                     )
                 )
     return resolved
+
+
+def _arity_message(pattern: PatternDef, got: int) -> str:
+    return f"pattern {pattern.name!r} expects {len(pattern.params)} argument(s), got {got}"
 
 
 def _check_pattern(item: PatternDef, report) -> None:
@@ -246,20 +218,13 @@ def declared_symbols(resolved: ResolvedLibrary, item_name: str, _seen: set[str] 
         return set()
     seen.add(item_name)
     out: set[StructuredName] = set()
-
-    def walk(expr: OntologyExpr) -> None:
-        if isinstance(expr, (Then, AndExpr)):
-            for part in expr.parts:
-                walk(part)
-        elif isinstance(expr, Instantiate):
-            out.update(declared_symbols(resolved, expr.pattern, seen))
-        elif isinstance(expr, Ref):
-            out.update(declared_symbols(resolved, expr.name, seen))
-        elif hasattr(expr, "frames"):
-            for frame in expr.frames:
-                out.add(frame.subject)
-
-    walk(resolved.table[item_name].body)
+    for leaf in leaves(resolved.table[item_name].body):
+        if isinstance(leaf, Instantiate):
+            out.update(declared_symbols(resolved, leaf.pattern, seen))
+        elif isinstance(leaf, Ref):
+            out.update(declared_symbols(resolved, leaf.name, seen))
+        elif isinstance(leaf, Basic):
+            out.update(frame.subject for frame in leaf.frames)
     return out
 
 
@@ -284,26 +249,20 @@ def pattern_free_symbols(resolved: ResolvedLibrary, item: PatternDef) -> set[Str
         covered.add(declared)
 
     free: set[StructuredName] = set()
-
-    def walk(expr: OntologyExpr) -> None:
-        if isinstance(expr, (Then, AndExpr)):
-            for part in expr.parts:
-                walk(part)
-        elif isinstance(expr, Instantiate):
-            for arg in expr.args:
+    for leaf in leaves(item.body):
+        if isinstance(leaf, Instantiate):
+            for arg in leaf.args:
                 if isinstance(arg, OntologyArg):
                     for _, target in arg.fit:
                         free.update(_plain_parts(target))
-        elif hasattr(expr, "frames"):
+        elif isinstance(leaf, Basic):
             try:
-                axioms = desugar_frames(expr.frames)
+                axioms = desugar_frames(leaf.frames)
             except GodpError:
-                return  # ill-formed frame; expansion reports it with location
+                continue  # ill-formed frame; expansion reports it with location
             for ax in axioms:
                 for n in axiom_names(ax):
                     free.update(_plain_parts(n))
-
-    walk(item.body)
     return {n for n in free if n not in covered and n.base != THING_BASE}
 
 
@@ -316,20 +275,22 @@ def detect_cycles(resolved: ResolvedLibrary) -> list[list[str]]:
     }
     cycles: list[list[str]] = []
     state: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
-    stack: list[str] = []
-
-    def visit(node: str) -> None:
-        state[node] = 1
-        stack.append(node)
-        for succ in graph.get(node, ()):
-            if state.get(succ, 0) == 0:
-                visit(succ)
-            elif state.get(succ) == 1:
-                cycles.append(stack[stack.index(succ) :])
-        stack.pop()
-        state[node] = 2
-
     for name in resolved.order:
         if state.get(name, 0) == 0:
-            visit(name)
+            _visit(name, graph, state, [], cycles)
     return cycles
+
+
+def _visit(node: str, graph: dict, state: dict, stack: list, cycles: list) -> None:
+    """Depth-first step of :func:`detect_cycles`: appends to ``cycles`` each
+    back edge's cycle. A module-level function, not a closure that calls
+    itself, which would be a reference cycle left for the garbage collector."""
+    state[node] = 1
+    stack.append(node)
+    for succ in graph.get(node, ()):
+        if state.get(succ, 0) == 0:
+            _visit(succ, graph, state, stack, cycles)
+        elif state.get(succ) == 1:
+            cycles.append(stack[stack.index(succ) :])
+    stack.pop()
+    state[node] = 2

@@ -9,6 +9,7 @@ Structural equality for the parse/print stability check goes through
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -126,6 +127,19 @@ class Library:
     name: str
     items: tuple[Item, ...]
     span: Span
+
+
+def leaves(expr: OntologyExpr) -> Iterator[OntologyExpr]:
+    """The ``Basic``, ``Ref`` and ``Instantiate`` leaves of ``expr`` under its
+    nested ``Then`` / ``AndExpr`` nodes, left to right. Iterative, so nesting
+    depth costs no stack."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (Then, AndExpr)):
+            stack.extend(reversed(e.parts))
+        else:
+            yield e
 
 
 def fingerprint(node):

@@ -238,6 +238,43 @@ class TestErrorPaths:
         assert "ForwardReference" in err
 
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    def test_huge_cardinality_is_syntax_error(self, capsys, tmp_path, json_flag):
+        digits = "9" * 5000  # more than int() converts from text
+        path = write(tmp_path, f"library L\nontology O =\n  Class: A SubClassOf: p min {digits} A\nend\n")
+        code, out, err = run_cli(["flatten", path, "--target", "O", *json_flag], capsys)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        message = "cardinality of 5000 digits is too large"
+        if json_flag:
+            diag = json.loads(line)
+            assert diag == {
+                "code": "SyntaxError",
+                "col": 30,
+                "file": path,
+                "line": 3,
+                "message": message,
+                "severity": "error",
+            }
+        else:
+            assert line == f"{path}:3:30: error: SyntaxError: {message}"
+
+
+    def test_unsupported_section_in_ontology_parameter(self, capsys, tmp_path):
+        path = write(
+            tmp_path,
+            "library L\n"
+            "pattern P [ontology {ObjectProperty: f Characteristics: Transitive}] = Class: Q end\n"
+            "ontology O = Class: Q end\n",
+        )
+        code, out, err = run_cli(["check", path], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"{path}:2:40: error: UnsupportedConstruct: section 'Characteristics: Transitive'"
+            " is not supported in a ObjectProperty frame\n"
+        )
+
+
 class TestInternalError:
     """An exception no stage reports itself ends as one InternalError
     diagnostic and exit code 4, never as a traceback."""

@@ -1,5 +1,11 @@
+import gc
+
+import pytest
+
+from godp.diagnostics import Span
 from godp.parser import parse_library
 from godp.resolver import detect_cycles, resolve
+from godp.syntax import AndExpr, Ref, leaves
 
 from tests.conftest import fixture_text
 
@@ -128,3 +134,37 @@ class TestCycles:
         text = fixture_text("obligations.gdol")
         resolved = resolve(parse_library(text))
         assert "Taxonomy" in resolved.references["PuppyTerm"]
+
+
+class TestNoCyclicGarbage:
+    """Resolving builds no reference cycles: nothing is left for the cyclic
+    garbage collector afterwards."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["role.gdol", "driving.gdol", "obligations.gdol", "collision.gdol"]
+    )
+    def test_resolve_leaves_no_cycles(self, fixture):
+        library = parse_library(fixture_text(fixture), fixture)
+        gc.collect()
+        gc.disable()
+        try:
+            resolve(library, fixture)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestLeaves:
+    def test_left_to_right_through_nested_chains(self):
+        body = parse_library(
+            "library L ontology O = A and (B then (C and D)) and E then F end"
+        ).items[0].body
+        assert [leaf.name for leaf in leaves(body)] == ["A", "B", "C", "D", "E", "F"]
+
+    def test_depth_costs_no_stack(self):
+        span = Span(1, 1)
+        expr = Ref("Z", span)
+        for i in range(20000):
+            expr = AndExpr((Ref(f"A{i}", span), expr), (span,), span)
+        names = [leaf.name for leaf in leaves(expr)]
+        assert names == [f"A{i}" for i in reversed(range(20000))] + ["Z"]
