@@ -8,7 +8,7 @@ their section, so equal inputs produce byte-identical output.
 
 from __future__ import annotations
 
-from .axioms import SECTION_KEYWORDS, EntityKind, frame_entry, referenced_kinds
+from .axioms import SECTION_KEYWORDS, EntityKind, frame_entry
 from .diagnostics import GodpError
 from .names import StructuredName
 from .ontology import FlatOntology
@@ -25,13 +25,14 @@ _SECTION_ORDER = {keyword: i for i, keyword in enumerate(SECTION_KEYWORDS)}
 
 def emit_manchester(o: FlatOntology, allow_structured: bool = False) -> str:
     if not allow_structured:
-        for ax in o.axioms:
-            for n, _ in referenced_kinds(ax):
-                if not n.is_plain:
-                    raise GodpError(
-                        "UnstratifiedName",
-                        f"structured name {n} survives in the output; stratify first",
-                    )
+        # The signature holds each name of the axioms once, in the order the
+        # axioms first mention it: its first bracketed name is theirs.
+        for n, _ in o.signature:
+            if n.groups:
+                raise GodpError(
+                    "UnstratifiedName",
+                    f"structured name {n} survives in the output; stratify first",
+                )
 
     # frame subject -> (kind, list of (section keyword, section text))
     frames: dict[StructuredName, tuple[EntityKind, list[tuple[str, str]]]] = {}

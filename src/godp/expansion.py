@@ -20,7 +20,6 @@ from .axioms import (
     AtomicAxiom,
     Declaration,
     EntityKind,
-    map_axiom_names,
     mentions,
     substitute_axiom,
 )
@@ -269,13 +268,17 @@ def check_instantiation(
 
 class Expander:
     """Expands ontologies over one immutable resolved library; named-ontology
-    results are memoized, instantiations are re-expanded per site."""
+    results are memoized and each Basic node is desugared once, while
+    instantiations are re-expanded per site."""
 
     def __init__(self, resolved: ResolvedLibrary, file: str | None = None):
         self.resolved = resolved
         self.file = file
         self._memo: dict[str, tuple[FlatOntology, tuple[Obligation, ...]]] = {}
         self._in_progress: set[str] = set()
+        # id of a Basic node -> its axioms. The nodes belong to the resolved
+        # library, which this expander keeps alive, so no id is reused.
+        self._desugared: dict[int, tuple[AtomicAxiom, ...]] = {}
 
     def expand_item(self, name: str, span: Span | None = None) -> tuple[FlatOntology, tuple[Obligation, ...]]:
         if name in self._memo:
@@ -303,7 +306,7 @@ class Expander:
 
     def _eval(self, expr: OntologyExpr, obligations: list[Obligation]) -> FlatOntology:
         if isinstance(expr, Basic):
-            return FlatOntology.from_axioms(desugar_frames(expr.frames), expr.span)
+            return FlatOntology.from_axioms(self._desugar(expr), expr.span)
         if isinstance(expr, _AxiomBlock):
             return FlatOntology.from_axioms(expr.axioms, expr.span)
         if isinstance(expr, Ref):
@@ -330,7 +333,7 @@ class Expander:
                     pattern, expr.args, flatten=self._flatten_argument, span=expr.span
                 )
                 obligations.extend(obs)
-                body = _transform_body(pattern.body, subst)
+                body = _transform_body(pattern.body, subst, self._desugar)
                 return self._eval(body, obligations)
             except GodpError as exc:
                 note = Diagnostic(
@@ -347,20 +350,29 @@ class Expander:
         onto, _ = self.expand_item(name, span)
         return onto
 
+    def _desugar(self, basic: Basic) -> tuple[AtomicAxiom, ...]:
+        """The axioms of a Basic node, desugared at its first use only."""
+        axioms = self._desugared.get(id(basic))
+        if axioms is None:
+            axioms = self._desugared[id(basic)] = tuple(desugar_frames(basic.frames))
+        return axioms
 
-def _transform_body(e: OntologyExpr, subst: Substitution) -> OntologyExpr:
-    """Prune and substitute a pattern body before recursive expansion.
+
+def _transform_body(e: OntologyExpr, subst: Substitution, desugar) -> OntologyExpr:
+    """Prune and substitute a pattern body before recursive expansion;
+    ``desugar`` gives a Basic node's axioms.
 
     A module-level function rather than a closure over ``subst``: a closure
     that calls itself is a reference cycle, left for the garbage collector
     at every instantiation."""
     if isinstance(e, Basic):
-        axioms = prune_omitted(desugar_frames(e.frames), subst.omitted)
+        axioms = prune_omitted(desugar(e), subst.omitted)
         return _AxiomBlock(tuple(apply_substitution(axioms, subst)), e.span)
     if isinstance(e, Ref):
         return e
     if isinstance(e, (Then, AndExpr)):
-        return type(e)(tuple(map(_transform_body, e.parts, repeat(subst))), e.ops, e.span)
+        parts = map(_transform_body, e.parts, repeat(subst), repeat(desugar))
+        return type(e)(tuple(parts), e.ops, e.span)
     if isinstance(e, Instantiate):
         mapping = subst.as_dict()
         new_args = []
@@ -413,10 +425,22 @@ def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> E
 
 def stratify_ontology(o: FlatOntology) -> FlatOntology:
     """Rewrite every parameterized name to its flat identifier, consistently
-    across signature and axioms, re-deduplicating afterwards."""
+    across signature and axioms, re-deduplicating afterwards.
+
+    Only bracketed names change, and only they can collide: two plain names
+    with one identifier are one name. An ontology without them is returned
+    as it is, since no ontology changes once built. ``o``'s signature must
+    be the one its axioms imply, as it is for every ontology the expander
+    builds."""
+    stratified = {n: stratify_name(n) for n, _ in o.signature if n.groups}
+    if not stratified:
+        return o
+    idents = set(stratified.values())
     by_id: dict[str, list[tuple[StructuredName, object]]] = {}
     for n, entry in o.signature:
-        by_id.setdefault(stratify_name(n), []).append((n, entry))
+        ident = stratified.get(n, n.base)
+        if ident in idents:
+            by_id.setdefault(ident, []).append((n, entry))
     for ident, sources in sorted(by_id.items()):
         if len(sources) < 2:
             continue
@@ -428,8 +452,4 @@ def stratify_ontology(o: FlatOntology) -> FlatOntology:
                 "StratificationCollision",
                 f"{a} and {b} both stratify to {ident!r}",
             )
-
-    rewritten = [
-        map_axiom_names(ax, lambda n: StructuredName(stratify_name(n))) for ax in o.axioms
-    ]
-    return FlatOntology.from_axioms(rewritten)
+    return o.rename({n: StructuredName(ident) for n, ident in stratified.items()})

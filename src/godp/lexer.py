@@ -1,14 +1,20 @@
-"""Tokenizer for pattern-library files.
+r"""Tokenizer for pattern-library files.
 
 ``%%`` starts a comment running to end of line. A frame or section keyword
 is an identifier immediately followed by ``:`` (``Class:``, ``Domain:``,
 ...); ``owl:Thing`` is lexed as a single atom. Everything else is
 identifiers, integers, and punctuation.
+
+An identifier starts with a letter (``str.isalpha()``); its tail is scanned
+with the regular expression ``\w*``, whose ``\w`` matches exactly the
+characters for which ``str.isalnum()`` is true, and ``_``. An integer is a
+run of ``str.isdigit()`` characters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import axioms
 from .diagnostics import GodpError, Span
@@ -68,90 +74,63 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its kind, its text and where it starts and ends. The
+    ``Span`` is built only when asked for, since the parser keeps few."""
+
     kind: str
     value: str
-    span: Span
+    line: int
+    col: int
+    end_line: int
+    end_col: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind}, {self.value!r}, {self.span})"
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.col, self.end_line, self.end_col)
+
+
+_WORD_TAIL = re.compile(r"\w*")
+_BLANKS = re.compile(r"[ \t\r]+")
 
 
 def tokenize(text: str, file: str | None = None) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     i = 0
-    line = 1
-    col = 1
     n = len(text)
-
-    def span_from(start_line: int, start_col: int) -> Span:
-        return Span(start_line, start_col, line, col)
-
-    def error(message: str, start_line: int, start_col: int) -> GodpError:
-        return GodpError("SyntaxError", message, Span(start_line, start_col), file)
+    line = 1
+    line_start = 0  # index of the line's first character: column is i - line_start + 1
 
     while i < n:
         c = text[i]
         if c == "\n":
             i += 1
             line += 1
-            col = 1
+            line_start = i
             continue
         if c in " \t\r":
-            i += 1
-            col += 1
+            i = _BLANKS.match(text, i).end()
             continue
-        if c == "%" and i + 1 < n and text[i + 1] == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-
-        start_line, start_col = line, col
-
-        if c == "|":
-            if text[i : i + 3] == "|->":
-                i += 3
-                col += 3
-                tokens.append(Token(MAPSTO, "|->", span_from(start_line, start_col)))
-                continue
-            raise error("unexpected character '|' (did you mean '|->'?)", line, col)
-
-        if c in _PUNCT:
-            i += 1
-            col += 1
-            tokens.append(Token(_PUNCT[c], c, span_from(start_line, start_col)))
+        if c == "%" and text.startswith("%", i + 1):
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
             continue
 
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            value = text[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token(INT, value, span_from(start_line, start_col)))
-            continue
+        col = i - line_start + 1
 
         if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+            j = _WORD_TAIL.match(text, i + 1).end()
             word = text[i:j]
             # owl:Thing is a single atom (no spaces around the colon).
-            if word == "owl" and text[j : j + 6] == ":Thing" and not (
+            if word == "owl" and text.startswith(":Thing", j) and not (
                 j + 6 < n and (text[j + 6].isalnum() or text[j + 6] == "_")
             ):
-                j += 6
-                col += j - i
-                i = j
-                tokens.append(Token(OWL_THING, "owl:Thing", span_from(start_line, start_col)))
+                i = j + 6
+                append(Token(OWL_THING, "owl:Thing", line, col, line, col + 9))
                 continue
             if j < n and text[j] == ":":
-                j += 1
-                col += j - i
-                i = j
                 if word in FRAME_KEYWORDS:
                     kind = FRAME_KW
                 elif word in SECTION_KEYWORDS:
@@ -159,16 +138,41 @@ def tokenize(text: str, file: str | None = None) -> list[Token]:
                 elif word in UNSUPPORTED_KEYWORDS:
                     kind = UNSUPPORTED_KW
                 else:
-                    raise error(f"unknown frame or section keyword '{word}:'", start_line, start_col)
-                tokens.append(Token(kind, word, span_from(start_line, start_col)))
+                    raise _error(f"unknown frame or section keyword '{word}:'", line, col, file)
+                i = j + 1
+                append(Token(kind, word, line, col, line, i - line_start + 1))
                 continue
-            col += j - i
             i = j
-            kind = KEYWORD if word in KEYWORDS else IDENT
-            tokens.append(Token(kind, word, span_from(start_line, start_col)))
+            append(Token(KEYWORD if word in KEYWORDS else IDENT, word, line, col, line, i - line_start + 1))
             continue
 
-        raise error(f"unexpected character {c!r}", line, col)
+        kind = _PUNCT.get(c)
+        if kind is not None:
+            i += 1
+            append(Token(kind, c, line, col, line, col + 1))
+            continue
 
-    tokens.append(Token(EOF, "", Span(line, col)))
+        if c.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            append(Token(INT, text[i:j], line, col, line, j - line_start + 1))
+            i = j
+            continue
+
+        if c == "|":
+            if text.startswith("|->", i):
+                i += 3
+                append(Token(MAPSTO, "|->", line, col, line, col + 3))
+                continue
+            raise _error("unexpected character '|' (did you mean '|->'?)", line, col, file)
+
+        raise _error(f"unexpected character {c!r}", line, col, file)
+
+    col = n - line_start + 1
+    append(Token(EOF, "", line, col, line, col))
     return tokens
+
+
+def _error(message: str, line: int, col: int, file: str | None) -> GodpError:
+    return GodpError("SyntaxError", message, Span(line, col), file)

@@ -79,6 +79,8 @@ def substitute_name(n: StructuredName, mapping: dict[StructuredName, StructuredN
     """
     if n in mapping:
         return mapping[n]
+    if not n.groups:  # a plain name is its own base: nothing to replace
+        return n
     new_groups = tuple(
         tuple(substitute_name(c, mapping) for c in group) for group in n.groups
     )

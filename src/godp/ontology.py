@@ -9,6 +9,7 @@ from .axioms import (
     AtomicAxiom,
     Declaration,
     EntityKind,
+    map_axiom_names,
     normalize_axiom,
     referenced_kinds,
 )
@@ -98,6 +99,28 @@ class FlatOntology:
 
     def normalized_set(self) -> frozenset[AtomicAxiom]:
         return frozenset(self._keyed)
+
+    def rename(self, mapping: dict[StructuredName, StructuredName]) -> "FlatOntology":
+        """A new ontology with each name in ``mapping`` replaced, everywhere.
+
+        An axiom that mentions no such name keeps its object and its normal
+        form; a renamed one is normalized again, and is dropped if it now
+        equals an earlier axiom. Each renamed name takes its old name's
+        place in the signature; if it was there already, the two entries
+        merge as in :meth:`Signature.add`."""
+        get = mapping.get
+        keyed: dict[AtomicAxiom, AtomicAxiom] = {}
+        for key, ax in self._keyed.items():
+            if any(n in mapping for n, _ in referenced_kinds(ax)):
+                ax = map_axiom_names(ax, lambda n: get(n, n))
+                key = normalize_axiom(ax)
+            keyed.setdefault(key, ax)
+        signature = Signature()
+        for n, entry in self.signature:
+            signature.add(get(n, n), entry.kind, entry.declared)
+        out = FlatOntology.__new__(FlatOntology)  # the keys are known
+        out._set(signature, keyed)
+        return out
 
 
 def combine(left: FlatOntology, right: FlatOntology, span: Span | None = None) -> FlatOntology:

@@ -33,13 +33,14 @@ from godp.axioms import (
     SubClassOf,
     SubPropertyOf,
     axioms_equal,
+    map_axiom_names,
     mentions,
     normalize_axiom,
     referenced_kinds,
 )
 from godp.diagnostics import GodpError, Span
 from godp.emitter import emit_manchester
-from godp.expansion import Substitution, apply_substitution, prune_omitted
+from godp.expansion import Substitution, apply_substitution, prune_omitted, stratify_ontology
 from godp.frames import desugar_frames
 from godp.names import THING, StructuredName, name, stratify_name, substitute_name
 from godp.ontology import FlatOntology, SigEntry, Signature, combine, union
@@ -478,3 +479,131 @@ class TestStratifyProperties:
     def test_fixpoint_on_plain_result(self, n):
         flat = name(stratify_name(n))
         assert stratify_name(flat) == flat.base
+
+
+def reference_stratify(o: FlatOntology) -> FlatOntology:
+    """The original full rewrite: group every signature name by its
+    stratified identifier, map every name of every axiom, rebuild."""
+    by_id: dict[str, list] = {}
+    for n, entry in o.signature:
+        by_id.setdefault(stratify_name(n), []).append((n, entry))
+    for ident, sources in sorted(by_id.items()):
+        if len(sources) < 2:
+            continue
+        kinds = {e.kind for _, e in sources}
+        declared = [n for n, e in sources if e.declared]
+        if len(kinds) > 1 or len(declared) > 1:
+            a, b = sources[0][0], sources[1][0]
+            raise GodpError("StratificationCollision", f"{a} and {b} both stratify to {ident!r}")
+    rewritten = [map_axiom_names(ax, lambda n: StructuredName(stratify_name(n))) for ax in o.axioms]
+    return FlatOntology.from_axioms(rewritten)
+
+
+def _bracketed(base: str, *groups: str) -> StructuredName:
+    return StructuredName(base, tuple(tuple(name(c) for c in g.split(",")) for g in groups))
+
+
+# Names that stratify alike: Ca[X][Y], Ca[X,Y], Ca[X_Y] and Ca_X_Y give
+# Ca_X_Y; Cb[Ca[X]] and Cb[Ca_X] give Cb_Ca_X; pa[X] and pa_X give pa_X. Such
+# names merge, unless two are declared; the class Ca[X] and the property Ca_X
+# always collide.
+STRATIFY_CLASSES = [
+    name("Ca"), name("Cb"), name("Ca_X_Y"), _bracketed("Ca", "X"), _bracketed("Ca", "X", "Y"),
+    _bracketed("Ca", "X,Y"), _bracketed("Ca", "X_Y"), StructuredName("Cb", ((_bracketed("Ca", "X"),),)),
+    _bracketed("Cb", "Ca_X"),
+]
+STRATIFY_PROPERTIES = [name("pa"), name("Ca_X"), name("pa_X"), _bracketed("pa", "X")]
+
+
+def _stratify_axioms(classes, properties):
+    """Mostly small axioms, so that two of them often become equal once
+    their names are stratified."""
+    cnames, pnames = st.sampled_from(classes), st.sampled_from(properties)
+    named = cnames.map(Named)
+    return st.one_of(
+        st.builds(SubClassOf, named, named),
+        st.builds(ObjectPropertyDomain, pnames, named),
+        st.builds(SubPropertyOf, pnames, pnames),
+        st.builds(EquivalentClasses, named, st.builds(SomeValuesFrom, pnames, named)),
+        axiom_strategy(cnames, pnames),
+    )
+
+
+def _expanded(axioms):
+    """Ontologies built as the expander builds one: from_axioms per block,
+    a third of the names declared, then one union of the blocks."""
+
+    @st.composite
+    def build(draw):
+        parts = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            body = draw(st.lists(axioms, max_size=5))
+            mentioned = {n: kind for ax in body for n, kind in referenced_kinds(ax) if n != THING}
+            decls = [Declaration(kind, n) for n, kind in mentioned.items() if draw(st.integers(0, 2)) == 0]
+            parts.append(FlatOntology.from_axioms(draw(st.permutations(decls + body))))
+        return union(parts, [None] * (len(parts) - 1))
+
+    return build()
+
+
+stratify_inputs = st.one_of(
+    _expanded(_stratify_axioms([n for n in STRATIFY_CLASSES if n.is_plain], STRATIFY_PROPERTIES[:3])),
+    _expanded(_stratify_axioms(STRATIFY_CLASSES, STRATIFY_PROPERTIES)),
+)
+# Few names, all of which merge: renamed axioms often become equal.
+merging_inputs = _expanded(_stratify_axioms(
+    [name("Cb"), name("Ca_X_Y"), _bracketed("Ca", "X", "Y"), _bracketed("Ca", "X,Y")], STRATIFY_PROPERTIES[2:]
+))
+
+
+class TestStratifyMatchesReference:
+    """stratify_ontology against the original rewrite of every name."""
+
+    @SUITE
+    @given(stratify_inputs)
+    @example(FlatOntology.from_axioms([Declaration(EntityKind.CLASS, StructuredName("Ca", ((THING,),)))]))
+    def test_same_axioms_signature_and_error(self, o):
+        self._check(o)
+
+    @SUITE
+    @given(merging_inputs)
+    @example(FlatOntology.from_axioms([
+        Declaration(EntityKind.CLASS, _bracketed("Ca", "X")),
+        Declaration(EntityKind.CLASS, name("Cb")),
+        SubClassOf(Named(name("Cb")), Named(name("Ca_X"))),
+        SubClassOf(Named(name("Cb")), Named(_bracketed("Ca", "X"))),
+    ]))
+    def test_same_when_renamed_axioms_merge(self, o):
+        self._check(o)
+
+    @staticmethod
+    def _check(o):
+        before = (list(o.signature), o.axioms)
+        try:
+            expected = reference_stratify(o)
+        except (GodpError, ValueError) as exc:
+            expected = exc
+        try:
+            out = stratify_ontology(o)
+        except (GodpError, ValueError) as exc:
+            assert type(exc) is type(expected)
+            assert str(exc) == str(expected)
+            if isinstance(exc, GodpError):
+                assert (exc.code, exc.message) == (expected.code, expected.message)
+        else:
+            assert not isinstance(expected, Exception), str(expected)
+            assert list(out.axioms) == list(expected.axioms)
+            assert out.normalized_set() == expected.normalized_set()
+            assert list(out.signature) == list(expected.signature)
+            if all(n.is_plain for n, _ in o.signature):
+                assert out is o
+            # Each output axiom comes from the first axiom of o with its
+            # stratified normal form; one without a bracketed name is kept
+            # as the same object.
+            sources: dict = {}
+            for ax in o.axioms:
+                renamed = map_axiom_names(ax, lambda n: StructuredName(stratify_name(n)))
+                sources.setdefault(normalize_axiom(renamed), ax)
+            for ax, source in zip(out.axioms, sources.values()):
+                assert (ax is source) == all(n.is_plain for n, _ in referenced_kinds(source))
+        assert (list(o.signature), o.axioms) == before
