@@ -104,10 +104,10 @@ class FlatOntology:
         """A new ontology with each name in ``mapping`` replaced, everywhere.
 
         An axiom that mentions no such name keeps its object and its normal
-        form; a renamed one is normalized again, and is dropped if it now
-        equals an earlier axiom. Each renamed name takes its old name's
-        place in the signature; if it was there already, the two entries
-        merge as in :meth:`Signature.add`."""
+        form; a renamed one is normalized again. Each normal form keeps its
+        first axiom, as when the ontology was built. Each renamed name takes
+        its old name's place in the signature; if it was there already, the
+        two entries merge as in :meth:`Signature.add`."""
         get = mapping.get
         keyed: dict[AtomicAxiom, AtomicAxiom] = {}
         for key, ax in self._keyed.items():

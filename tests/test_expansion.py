@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import godp.expansion
 from godp.axioms import (
     AllValuesFrom,
     Cardinality,
@@ -621,6 +622,34 @@ class TestObligationDedup:
         resolved = resolve_text(text)
         result = expand(resolved, "Twice")
         assert len(result.obligations) == 1
+
+
+class TestDesugarOnce:
+    def test_each_body_desugared_once_per_expansion(self, monkeypatch):
+        # Three sites of one pattern, one of them with an omitted optional
+        # argument: its body's frames are desugared once, and each site still
+        # prunes and substitutes for itself.
+        calls = []
+        original = godp.expansion.desugar_frames
+
+        def counting(frames):
+            calls.append(frames)
+            return original(frames)
+
+        monkeypatch.setattr(godp.expansion, "desugar_frames", counting)
+        text = (
+            "library L pattern R [Class: A] [Class: B ?] = Class: A SubClassOf: B end "
+            "ontology O = R [Class: X] [Class: Y] and R [Class: Z] [] and R [Class: X] [Class: Y] end"
+        )
+        onto = flatten_text(text, "O")
+        assert len(calls) == 1
+        assert norm_set(onto.axioms) == norm_set(
+            [
+                Declaration(CLS, name("X")),
+                SubClassOf(Named(name("X")), Named(name("Y"))),
+                Declaration(CLS, name("Z")),
+            ]
+        )
 
 
 class TestDeterminism:

@@ -4,7 +4,8 @@
 step per character, ``str.isalnum()`` for identifier tails. ``tokenize``
 must give the same kinds, values and spans, and fail with the same code,
 message and position, on the fixtures, on a generated library and on random
-text that includes non-ASCII letters, digits and numerals.
+text that includes non-ASCII letters, digits and numerals. The regular
+expression for identifier tails is also checked on every code point.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from godp.lexer import (
     SECTION_KW,
     UNSUPPORTED_KEYWORDS,
     UNSUPPORTED_KW,
+    _WORD_TAIL,
     tokenize,
 )
 
@@ -134,6 +136,14 @@ def actual(text: str):
         s = exc.span
         return (exc.code, exc.message, s.line, s.col, s.end_line, s.end_col)
     return [(t.kind, t.value, t.span.line, t.span.col, t.span.end_line, t.span.end_col) for t in tokens]
+
+
+def test_word_tail_is_isalnum_or_underscore():
+    # The scanner relies on this for identifier tails; it depends on the
+    # interpreter's Unicode tables, so every code point is checked.
+    differ = [hex(i) for i in range(0x110000)
+              if (_WORD_TAIL.fullmatch(chr(i)) is not None) != (chr(i).isalnum() or chr(i) == "_")]
+    assert differ == []
 
 
 def _library_check_text() -> str:
