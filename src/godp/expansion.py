@@ -397,7 +397,12 @@ def _transform_body(e: OntologyExpr, subst: Substitution, desugar) -> OntologyEx
 # ---------------------------------------------------------------------------
 
 
-def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> ExpansionResult:
+def expand(
+    resolved: ResolvedLibrary, target: str, file: str | None = None, expander: Expander | None = None
+) -> ExpansionResult:
+    """Flatten the ontology ``target``. Pass one ``expander`` (over the same
+    library and file) to several calls to share its memo of named ontologies
+    and desugared blocks between them."""
     item = resolved.table.get(target)
     if item is None:
         raise GodpError("UnknownTarget", f"no ontology named {target!r} in the library", file=file)
@@ -405,7 +410,8 @@ def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> E
         raise GodpError(
             "UnknownTarget", f"{target!r} is a pattern; flattening targets an ontology", item.span, file
         )
-    expander = Expander(resolved, file)
+    if expander is None:
+        expander = Expander(resolved, file)
     onto, obligations = expander.expand_item(target)
     # Referencing one named ontology from several places replays its memoized
     # obligations; keep each site's obligation once.
@@ -451,5 +457,11 @@ def stratify_ontology(o: FlatOntology) -> FlatOntology:
             raise GodpError(
                 "StratificationCollision",
                 f"{a} and {b} both stratify to {ident!r}",
+            )
+    for n, ident in stratified.items():
+        if ":" in ident:  # only owl:Thing has a colon, and it has no identifier
+            raise GodpError(
+                "UnstratifiedName",
+                f"structured name {n} cannot be stratified: owl:Thing cannot be a constituent",
             )
     return o.rename({n: StructuredName(ident) for n, ident in stratified.items()})

@@ -9,11 +9,18 @@ An identifier starts with a letter (``str.isalpha()``); its tail is scanned
 with the regular expression ``\w*``, whose ``\w`` matches exactly the
 characters for which ``str.isalnum()`` is true, and ``_``. An integer is a
 run of ``str.isdigit()`` characters.
+
+``tokenize`` returns a :class:`TokenStream`: the kinds, values and start
+offsets of the tokens as three parallel lists, read by index. It builds no
+object per token; a token's line and column come from its offset by
+bisecting the offsets of the line starts, only when a ``Span`` is asked for.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import axioms
@@ -75,8 +82,8 @@ _PUNCT = {
 
 
 class Token(NamedTuple):
-    """One token: its kind, its text and where it starts and ends. The
-    ``Span`` is built only when asked for, since the parser keeps few."""
+    """One token: its kind, its text and where it starts and ends, as a
+    ``TokenStream`` gives it by index."""
 
     kind: str
     value: str
@@ -90,26 +97,68 @@ class Token(NamedTuple):
         return Span(self.line, self.col, self.end_line, self.end_col)
 
 
+# Keyword tokens end one column after their text, at the colon.
+_COLON_KINDS = frozenset({FRAME_KW, SECTION_KW, UNSUPPORTED_KW})
+
+
+class TokenStream:
+    """The tokens of one text as parallel lists: ``kinds``, ``values`` and
+    ``starts`` (the offset of each token's first character), plus
+    ``line_starts``, the offset of each line's first character. A token's
+    ``Span`` is built only when asked for, since the parser keeps few.
+    Indexing and iterating give ``Token`` values."""
+
+    __slots__ = ("kinds", "values", "starts", "line_starts")
+
+    def __init__(self, kinds: list[str], values: list[str], starts: list[int], line_starts: list[int]):
+        self.kinds = kinds
+        self.values = values
+        self.starts = starts
+        self.line_starts = line_starts
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def _position(self, i: int) -> tuple[int, int, int]:
+        """Line, column and end column of token ``i``; a token ends on the
+        line it starts on."""
+        start = self.starts[i]
+        line = bisect_right(self.line_starts, start)
+        col = start - self.line_starts[line - 1] + 1
+        return line, col, col + len(self.values[i]) + (self.kinds[i] in _COLON_KINDS)
+
+    def span(self, i: int) -> Span:
+        line, col, end_col = self._position(i)
+        return Span(line, col, line, end_col)
+
+    def __getitem__(self, i: int) -> Token:
+        i = range(len(self.kinds))[i]
+        line, col, end_col = self._position(i)
+        return Token(self.kinds[i], self.values[i], line, col, line, end_col)
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.__getitem__, range(len(self.kinds)))
+
+
 _WORD_TAIL = re.compile(r"\w*")
-_BLANKS = re.compile(r"[ \t\r]+")
+_BLANKS = re.compile(r"[ \t\r\n]+")
+_NEWLINE = re.compile(r"\n")
 
 
-def tokenize(text: str, file: str | None = None) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
+def tokenize(text: str, file: str | None = None) -> TokenStream:
+    kinds: list[str] = []
+    values: list[str] = []
+    starts: list[int] = []
+    add_kind, add_value, add_start = kinds.append, values.append, starts.append
     i = 0
     n = len(text)
-    line = 1
-    line_start = 0  # index of the line's first character: column is i - line_start + 1
 
     while i < n:
         c = text[i]
-        if c == "\n":
+        if c == " ":
             i += 1
-            line += 1
-            line_start = i
             continue
-        if c in " \t\r":
+        if c in "\t\r\n":
             i = _BLANKS.match(text, i).end()
             continue
         if c == "%" and text.startswith("%", i + 1):
@@ -118,61 +167,73 @@ def tokenize(text: str, file: str | None = None) -> list[Token]:
                 i = n
             continue
 
-        col = i - line_start + 1
-
         if c.isalpha():
             j = _WORD_TAIL.match(text, i + 1).end()
             word = text[i:j]
+            add_start(i)
             # owl:Thing is a single atom (no spaces around the colon).
             if word == "owl" and text.startswith(":Thing", j) and not (
                 j + 6 < n and (text[j + 6].isalnum() or text[j + 6] == "_")
             ):
                 i = j + 6
-                append(Token(OWL_THING, "owl:Thing", line, col, line, col + 9))
+                add_kind(OWL_THING)
+                add_value("owl:Thing")
                 continue
             if j < n and text[j] == ":":
                 if word in FRAME_KEYWORDS:
-                    kind = FRAME_KW
+                    add_kind(FRAME_KW)
                 elif word in SECTION_KEYWORDS:
-                    kind = SECTION_KW
+                    add_kind(SECTION_KW)
                 elif word in UNSUPPORTED_KEYWORDS:
-                    kind = UNSUPPORTED_KW
+                    add_kind(UNSUPPORTED_KW)
                 else:
-                    raise _error(f"unknown frame or section keyword '{word}:'", line, col, file)
+                    raise _error(f"unknown frame or section keyword '{word}:'", text, i, file)
+                add_value(word)
                 i = j + 1
-                append(Token(kind, word, line, col, line, i - line_start + 1))
                 continue
+            add_kind(KEYWORD if word in KEYWORDS else IDENT)
+            add_value(word)
             i = j
-            append(Token(KEYWORD if word in KEYWORDS else IDENT, word, line, col, line, i - line_start + 1))
             continue
 
         kind = _PUNCT.get(c)
         if kind is not None:
+            add_kind(kind)
+            add_value(c)
+            add_start(i)
             i += 1
-            append(Token(kind, c, line, col, line, col + 1))
             continue
 
         if c.isdigit():
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            append(Token(INT, text[i:j], line, col, line, j - line_start + 1))
+            add_kind(INT)
+            add_value(text[i:j])
+            add_start(i)
             i = j
             continue
 
         if c == "|":
             if text.startswith("|->", i):
+                add_kind(MAPSTO)
+                add_value("|->")
+                add_start(i)
                 i += 3
-                append(Token(MAPSTO, "|->", line, col, line, col + 3))
                 continue
-            raise _error("unexpected character '|' (did you mean '|->'?)", line, col, file)
+            raise _error("unexpected character '|' (did you mean '|->'?)", text, i, file)
 
-        raise _error(f"unexpected character {c!r}", line, col, file)
+        raise _error(f"unexpected character {c!r}", text, i, file)
 
-    col = n - line_start + 1
-    append(Token(EOF, "", line, col, line, col))
-    return tokens
+    add_kind(EOF)
+    add_value("")
+    add_start(n)
+    line_starts = [0]
+    line_starts += [m.end() for m in _NEWLINE.finditer(text)]
+    return TokenStream(kinds, values, starts, line_starts)
 
 
-def _error(message: str, line: int, col: int, file: str | None) -> GodpError:
-    return GodpError("SyntaxError", message, Span(line, col), file)
+def _error(message: str, text: str, i: int, file: str | None) -> GodpError:
+    """A syntax error at offset ``i`` of ``text``."""
+    line_start = text.rfind("\n", 0, i) + 1
+    return GodpError("SyntaxError", message, Span(text.count("\n", 0, i) + 1, i - line_start + 1), file)

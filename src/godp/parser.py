@@ -46,7 +46,6 @@ from .lexer import (
     RPAREN,
     SECTION_KW,
     UNSUPPORTED_KW,
-    Token,
     tokenize,
 )
 from .names import THING, StructuredName
@@ -70,77 +69,100 @@ from .syntax import (
 )
 
 class _Parser:
+    """Reads the token stream by index: ``kind`` and ``value`` are the
+    current token's, and ``advance`` returns the index it consumes, from
+    which ``span`` builds a ``Span`` only where the tree keeps one."""
+
     def __init__(self, text: str, file: str | None = None):
         self.file = file
         self.tokens = tokenize(text, file)
+        self.kinds = self.tokens.kinds
+        self.values = self.tokens.values
+        self.span = self.tokens.span
+        self.plain_names: dict[str, StructuredName] = {}  # one object per plain name
         self.pos = 0
+        self.kind = self.kinds[0]
+        self.value = self.values[0]
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
+    def at(self, kind: str, value: str) -> bool:
+        return self.kind == kind and self.value == value
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        t = self.tok
-        return t.kind == kind and (value is None or t.value == value)
+    def advance(self) -> int:
+        i = self.pos
+        if self.kind != EOF:
+            self.pos = i + 1
+            self.kind = self.kinds[i + 1]
+            self.value = self.values[i + 1]
+        return i
 
-    def advance(self) -> Token:
-        t = self.tok
-        if t.kind != EOF:
-            self.pos += 1
-        return t
-
-    def expect(self, kind: str, value: str | None = None, expected: str | None = None) -> Token:
-        if self.at(kind, value):
+    def expect(self, kind: str, value: str | None = None, expected: str | None = None) -> int:
+        if self.kind == kind and (value is None or self.value == value):
             return self.advance()
         raise self.error(expected or (value or kind.lower()))
 
     def error(self, expected: str) -> GodpError:
-        t = self.tok
-        found = t.value if t.kind != EOF else "end of input"
+        found = self.value if self.kind != EOF else "end of input"
         return GodpError(
-            "SyntaxError", f"expected {expected}, found {found!r}", t.span, self.file
+            "SyntaxError", f"expected {expected}, found {found!r}", self.span(self.pos), self.file
         )
 
-    def unsupported(self, t: Token) -> GodpError:
+    def unsupported(self) -> GodpError:
         return GodpError(
-            "UnsupportedConstruct", f"'{t.value}:' is outside the supported subset", t.span, self.file
+            "UnsupportedConstruct",
+            f"'{self.value}:' is outside the supported subset",
+            self.span(self.pos),
+            self.file,
         )
 
     # -- names ---------------------------------------------------------------
 
     def parse_name(self) -> StructuredName:
-        if self.at(OWL_THING):
+        if self.kind == OWL_THING:
             self.advance()
             return THING
-        t = self.tok
-        if t.kind != IDENT:
+        if self.kind != IDENT:
             raise self.error("a name")
-        if t.value in EXPR_WORDS:
+        base = self.value
+        if base in EXPR_WORDS:
             raise GodpError(
                 "SyntaxError",
-                f"{t.value!r} is a reserved word and cannot be used as a name",
-                t.span,
+                f"{base!r} is a reserved word and cannot be used as a name",
+                self.span(self.pos),
+                self.file,
+            )
+        # The lexer's words are identifiers of Unicode letters and digits;
+        # a name's base must be ASCII (see names.StructuredName).
+        if not base.isascii():
+            raise GodpError(
+                "SyntaxError",
+                f"{base!r} is not a valid name: use ASCII letters, digits and '_'",
+                self.span(self.pos),
                 self.file,
             )
         self.advance()
+        if self.kind != LBRACKET:
+            plain = self.plain_names.get(base)
+            if plain is None:
+                plain = self.plain_names[base] = StructuredName(base)
+            return plain
         groups: list[tuple[StructuredName, ...]] = []
-        while self.at(LBRACKET):
+        while self.kind == LBRACKET:
             self.advance()
             constituents = [self.parse_name()]
-            while self.at(COMMA):
+            while self.kind == COMMA:
                 self.advance()
                 constituents.append(self.parse_name())
             self.expect(RBRACKET, expected="']'")
             groups.append(tuple(constituents))
-        return StructuredName(t.value, tuple(groups))
+        return StructuredName(base, tuple(groups))
 
     def parse_plain_name(self, what: str) -> StructuredName:
-        t = self.tok
+        start = self.pos
         n = self.parse_name()
         if not n.is_plain:
-            raise GodpError("SyntaxError", f"{what} must be a plain identifier", t.span, self.file)
+            raise GodpError("SyntaxError", f"{what} must be a plain identifier", self.span(start), self.file)
         return n
 
     # -- class expressions -----------------------------------------------------
@@ -160,71 +182,75 @@ class _Parser:
         return operands[0] if len(operands) == 1 else And(tuple(operands))
 
     def parse_primary(self) -> ClassExpr:
-        if self.at(IDENT, "not"):
-            self.advance()
-            return Not(self.parse_primary())
-        if self.at(OWL_THING):
+        kind = self.kind
+        if kind == OWL_THING:
             self.advance()
             return Named(THING)
-        if self.at(LPAREN):
+        if kind == LPAREN:
             self.advance()
             inner = self.parse_class_expr()
             self.expect(RPAREN, expected="')'")
             return inner
+        if kind == IDENT and self.value == "not":
+            self.advance()
+            return Not(self.parse_primary())
         n = self.parse_name()
-        if self.at(IDENT) and self.tok.value in ("some", "only"):
-            word = self.advance().value
+        if self.kind != IDENT:
+            return Named(n)
+        word = self.value
+        if word == "some" or word == "only":
+            self.advance()
             filler = self.parse_primary()
             return SomeValuesFrom(n, filler) if word == "some" else AllValuesFrom(n, filler)
-        if self.at(IDENT) and self.tok.value in ("min", "max", "exactly"):
-            bound = self.advance().value
+        if word == "min" or word == "max" or word == "exactly":
+            self.advance()
             digits = self.expect(INT, expected="a non-negative integer")
+            text = self.values[digits]
             try:
-                count = int(digits.value)
+                count = int(text)
             except ValueError:  # more digits than int() converts
-                message = f"cardinality of {len(digits.value)} digits is too large"
-                raise GodpError("SyntaxError", message, digits.span, self.file) from None
+                message = f"cardinality of {len(text)} digits is too large"
+                raise GodpError("SyntaxError", message, self.span(digits), self.file) from None
             filler = self.parse_primary()
-            return Cardinality(n, bound, count, filler)
+            return Cardinality(n, word, count, filler)
         return Named(n)
 
     # -- frames ---------------------------------------------------------------
 
     def parse_frame(self) -> Frame:
         t = self.expect(FRAME_KW)
-        kind = EntityKind(t.value)
+        kind = EntityKind(self.values[t])
         subject = self.parse_name()
         sections: list[Section] = []
-        while True:
-            if self.at(UNSUPPORTED_KW):
-                raise self.unsupported(self.tok)
-            if not self.at(SECTION_KW):
-                break
+        while self.kind == SECTION_KW:
+            keyword = self.value
             st = self.advance()
-            roles = SECTION_ITEM_ROLES[st.value]
+            roles = SECTION_ITEM_ROLES[keyword]
             items = [self.parse_section_item(roles)]
-            while self.at(COMMA):
+            while self.kind == COMMA:
                 self.advance()
                 items.append(self.parse_section_item(roles))
-            sections.append(Section(st.value, tuple(items), st.span))
-        return Frame(kind, subject, tuple(sections), t.span)
+            sections.append(Section(keyword, tuple(items), self.span(st)))
+        if self.kind == UNSUPPORTED_KW:
+            raise self.unsupported()
+        return Frame(kind, subject, tuple(sections), self.span(t))
 
     def parse_section_item(self, roles: tuple):
         """One comma-separated section item, shaped as ``roles`` says (see
         axioms.SECTION_ITEM_ROLES)."""
         if not roles:
-            return self.expect(IDENT, expected="a characteristic").value
+            return self.values[self.expect(IDENT, expected="a characteristic")]
         values = [self.parse_class_expr() if role is EXPR else self.parse_name() for role in roles]
         return values[0] if len(values) == 1 else tuple(values)
 
     def parse_basic(self) -> Basic:
-        start = self.tok
         frames = [self.parse_frame()]
-        while self.at(FRAME_KW):
+        while self.kind == FRAME_KW:
             frames.append(self.parse_frame())
-        if self.at(UNSUPPORTED_KW):
-            raise self.unsupported(self.tok)
-        return Basic(tuple(frames), start.span)
+        if self.kind == UNSUPPORTED_KW:
+            raise self.unsupported()
+        # A block's span is its first frame's: the same token.
+        return Basic(tuple(frames), frames[0].span)
 
     # -- ontology expressions ---------------------------------------------------
 
@@ -232,7 +258,7 @@ class _Parser:
         parts = [self.parse_and_expr()]
         ops = []
         while self.at(KEYWORD, "then"):
-            ops.append(self.advance().span)
+            ops.append(self.span(self.advance()))
             parts.append(self.parse_and_expr())
         return Then(tuple(parts), tuple(ops), ops[0]) if ops else parts[0]
 
@@ -240,56 +266,59 @@ class _Parser:
         parts = [self.parse_unit()]
         ops = []
         while self.at(KEYWORD, "and"):
-            ops.append(self.advance().span)
+            ops.append(self.span(self.advance()))
             parts.append(self.parse_unit())
         return AndExpr(tuple(parts), tuple(ops), ops[0]) if ops else parts[0]
 
     def parse_unit(self) -> OntologyExpr:
-        if self.at(LPAREN):
+        kind = self.kind
+        if kind == LPAREN:
             self.advance()
             inner = self.parse_expr()
             self.expect(RPAREN, expected="')'")
             return inner
-        if self.at(FRAME_KW):
+        if kind == FRAME_KW:
             return self.parse_basic()
-        if self.at(UNSUPPORTED_KW):
-            raise self.unsupported(self.tok)
-        if self.at(IDENT):
+        if kind == UNSUPPORTED_KW:
+            raise self.unsupported()
+        if kind == IDENT:
+            name = self.value
             t = self.advance()
             args: list[Arg] = []
-            while self.at(LBRACKET):
+            while self.kind == LBRACKET:
                 args.append(self.parse_arg())
             if args:
-                return Instantiate(t.value, tuple(args), t.span)
-            return Ref(t.value, t.span)
+                return Instantiate(name, tuple(args), self.span(t))
+            return Ref(name, self.span(t))
         raise self.error("an ontology expression")
 
     def parse_arg(self) -> Arg:
         lb = self.expect(LBRACKET)
-        if self.at(RBRACKET):
+        if self.kind == RBRACKET:
             self.advance()
-            return OmittedArg(lb.span)
-        if self.at(FRAME_KW):
-            kt = self.advance()
+            return OmittedArg(self.span(lb))
+        if self.kind == FRAME_KW:
+            kind = EntityKind(self.value)
+            self.advance()
             n = self.parse_name()
             self.expect(RBRACKET, expected="']'")
-            return SymbolArg(EntityKind(kt.value), n, lb.span)
-        start = self.tok
+            return SymbolArg(kind, n, self.span(lb))
+        start = self.pos
         n = self.parse_name()
         if self.at(KEYWORD, "fit"):
             if not n.is_plain:
                 raise GodpError(
-                    "SyntaxError", "an ontology argument must be a plain name", start.span, self.file
+                    "SyntaxError", "an ontology argument must be a plain name", self.span(start), self.file
                 )
             self.advance()
             fit = [self._parse_fit_pair()]
-            while self.at(COMMA):
+            while self.kind == COMMA:
                 self.advance()
                 fit.append(self._parse_fit_pair())
             self.expect(RBRACKET, expected="']'")
-            return OntologyArg(n.base, tuple(fit), lb.span)
+            return OntologyArg(n.base, tuple(fit), self.span(lb))
         self.expect(RBRACKET, expected="']'")
-        return SymbolArg(None, n, lb.span)
+        return SymbolArg(None, n, self.span(lb))
 
     def _parse_fit_pair(self) -> tuple[StructuredName, StructuredName]:
         source = self.parse_plain_name("a fitting-map symbol")
@@ -308,15 +337,15 @@ class _Parser:
             self.advance()
             optional = self._parse_optional_marker()
             self.expect(RBRACKET, expected="']'")
-            return OntologyParam(frames, optional, lb.span)
+            return OntologyParam(frames, optional, self.span(lb))
         kt = self.expect(FRAME_KW, expected="a parameter kind such as 'Class:'")
         name = self.parse_plain_name("a parameter name")
         optional = self._parse_optional_marker()
         self.expect(RBRACKET, expected="']'")
-        return SymbolParam(EntityKind(kt.value), name, optional, lb.span)
+        return SymbolParam(EntityKind(self.values[kt]), name, optional, self.span(lb))
 
     def _parse_optional_marker(self) -> bool:
-        if self.at(QUESTION):
+        if self.kind == QUESTION:
             self.advance()
             return True
         return False
@@ -324,37 +353,37 @@ class _Parser:
     def parse_item(self):
         if self.at(KEYWORD, "ontology"):
             t = self.advance()
-            name = self.expect(IDENT, expected="an ontology name").value
+            name = self.values[self.expect(IDENT, expected="an ontology name")]
             self.expect(EQUALS, expected="'='")
             body = self.parse_expr()
             self.expect(KEYWORD, "end")
-            return OntologyDef(name, body, t.span)
+            return OntologyDef(name, body, self.span(t))
         if self.at(KEYWORD, "pattern"):
             t = self.advance()
-            name = self.expect(IDENT, expected="a pattern name").value
+            name = self.values[self.expect(IDENT, expected="a pattern name")]
             params = []
-            while self.at(LBRACKET):
+            while self.kind == LBRACKET:
                 params.append(self.parse_param())
             self.expect(EQUALS, expected="'='")
             body = self.parse_expr()
             self.expect(KEYWORD, "end")
-            return PatternDef(name, tuple(params), body, t.span)
+            return PatternDef(name, tuple(params), body, self.span(t))
         raise self.error("'ontology' or 'pattern'")
 
     def parse_library(self) -> Library:
         t = self.expect(KEYWORD, "library", expected="'library'")
-        name = self.expect(IDENT, expected="a library name").value
+        name = self.values[self.expect(IDENT, expected="a library name")]
         items = []
-        while not self.at(EOF):
+        while self.kind != EOF:
             items.append(self.parse_item())
-        return Library(name, tuple(items), t.span)
+        return Library(name, tuple(items), self.span(t))
 
     def parse_frames_until(self, end: str, expected: str) -> tuple[Frame, ...]:
         frames = []
-        while not self.at(end):
-            if self.at(UNSUPPORTED_KW):
-                raise self.unsupported(self.tok)
-            if not self.at(FRAME_KW):
+        while self.kind != end:
+            if self.kind == UNSUPPORTED_KW:
+                raise self.unsupported()
+            if self.kind != FRAME_KW:
                 raise self.error(expected)
             frames.append(self.parse_frame())
         return tuple(frames)

@@ -275,6 +275,68 @@ class TestErrorPaths:
         )
 
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize("command", [["list"], ["check"], ["flatten", "--target", "O"]])
+    @pytest.mark.parametrize(
+        "source, bad, col",
+        [
+            ("Class: café", "café", 21),
+            ("Class: A SubClassOf: Straße", "Straße", 35),
+            ("Class: A SubClassOf: r some x²", "x²", 42),
+            ("Class: A SubClassOf: B[Ab, é]", "é", 41),
+        ],
+    )
+    def test_non_ascii_name_is_syntax_error(self, capsys, tmp_path, json_flag, command, source, bad, col):
+        # The lexer reads Unicode letters and digits; a name must be ASCII.
+        path = write(tmp_path, f"library L\nontology O = {source} end\n")
+        code, out, err = run_cli([command[0], path, *command[1:], *json_flag], capsys)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        message = f"{bad!r} is not a valid name: use ASCII letters, digits and '_'"
+        if json_flag:
+            assert json.loads(line) == {
+                "code": "SyntaxError",
+                "col": col,
+                "file": path,
+                "line": 2,
+                "message": message,
+                "severity": "error",
+            }
+        else:
+            assert line == f"{path}:2:{col}: error: SyntaxError: {message}"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize(
+        "source, structured",
+        [
+            # written in the text
+            ("ontology O = Class: A[owl:Thing] end", "A[owl:Thing]"),
+            # substituted for a parameter inside a bracketed name
+            (
+                "pattern P [Class: X] = Class: rel[X] SubClassOf: X end\n"
+                "ontology O = P [Class: owl:Thing] end",
+                "rel[owl:Thing]",
+            ),
+        ],
+    )
+    def test_constituent_owl_thing_is_unstratified(self, capsys, tmp_path, json_flag, source, structured):
+        path = write(tmp_path, f"library L\n{source}\nontology Q = Class: B end\n")
+        message = f"structured name {structured} cannot be stratified: owl:Thing cannot be a constituent"
+        expected = (
+            json.dumps({"code": "UnstratifiedName", "col": None, "file": path, "line": None,
+                        "message": message, "severity": "error"}, sort_keys=True)
+            if json_flag
+            else f"{path}: error: UnstratifiedName: {message}"
+        )
+        for command in (["flatten", path, "--target", "O"], ["check", path]):
+            code, out, err = run_cli([*command, *json_flag], capsys)
+            assert (code, out, err) == (2, "", expected + "\n")
+        # Without stratification the name is written as it is.
+        code, out, err = run_cli(["flatten", path, "--target", "O", "--keep-structured-names"], capsys)
+        assert (code, err) == (0, "")
+        assert f"Class: {structured}\n" in out
+
+
 class TestInternalError:
     """An exception no stage reports itself ends as one InternalError
     diagnostic and exit code 4, never as a traceback."""

@@ -1,10 +1,14 @@
 import re
+from collections import Counter
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from godp.axioms import EntityKind
-from godp.diagnostics import GodpError
+from godp.diagnostics import GodpError, Span
 from godp.expansion import expand
+from godp.frames import Frame, Section
+from godp.lexer import FRAME_KW, IDENT, KEYWORD, LBRACKET, SECTION_KW, Token
 from godp.names import name
 from godp.parser import format_library, parse_library
 from godp.resolver import resolve
@@ -12,6 +16,7 @@ from godp.syntax import (
     AndExpr,
     Basic,
     Instantiate,
+    Library,
     OmittedArg,
     OntologyArg,
     OntologyDef,
@@ -23,7 +28,8 @@ from godp.syntax import (
     Then,
     fingerprint,
 )
-from tests.conftest import fixture_text
+from tests.conftest import FIXTURES, fixture_text
+from tests.test_lexer import _library_check_text, reference_tokenize
 
 DOL_EXAMPLE = """
 library DOLExample
@@ -250,3 +256,91 @@ class TestPrintStability:
                             f"ontology C = Class: Z end ontology E = {expr} end")
         reparsed = parse_library(format_library(lib))
         assert fingerprint(reparsed) == fingerprint(lib)
+
+
+# The token whose span each node keeps, as (kind, value); a value of None
+# means the node's own text: its name, kind or keyword.
+SPAN_TOKENS = {
+    Library: (KEYWORD, "library"),
+    OntologyDef: (KEYWORD, "ontology"),
+    PatternDef: (KEYWORD, "pattern"),
+    SymbolParam: (LBRACKET, "["),
+    OntologyParam: (LBRACKET, "["),
+    SymbolArg: (LBRACKET, "["),
+    OntologyArg: (LBRACKET, "["),
+    OmittedArg: (LBRACKET, "["),
+    Ref: (IDENT, None),
+    Instantiate: (IDENT, None),
+    Basic: (FRAME_KW, None),
+    Frame: (FRAME_KW, None),
+    Section: (SECTION_KW, None),
+}
+OPERATORS = {Then: "then", AndExpr: "and"}
+
+
+def kept_spans(node):
+    """(node type, span, expected kind, expected value) for every span the
+    tree keeps, operator spans included."""
+    out = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, tuple):
+            stack.extend(n)
+        elif is_dataclass(n) and not isinstance(n, Span):
+            t = type(n)
+            if t in OPERATORS:
+                out += [(t, op, KEYWORD, OPERATORS[t]) for op in n.ops]
+                assert n.span == n.ops[0]
+            elif t in SPAN_TOKENS:
+                kind, value = SPAN_TOKENS[t]
+                if value is None:
+                    value = {Ref: "name", Instantiate: "pattern", Section: "keyword"}.get(t)
+                    value = getattr(n, value) if value else (n.frames[0] if t is Basic else n).kind.value
+                out.append((t, n.span, kind, value))
+            stack.extend(getattr(n, f.name) for f in fields(n) if f.name not in ("span", "ops"))
+    return out
+
+
+class TestKeptSpans:
+    """Every span in the tree is the span the reference scanner gives the
+    token it belongs to."""
+
+    def test_every_kept_span_is_its_tokens(self):
+        texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.gdol"))] + [_library_check_text()]
+        seen = Counter()
+        for text in texts:
+            by_start = {(t[2], t[3]): t for t in reference_tokenize(text)}
+            for node_type, span, kind, value in kept_spans(parse_library(text)):
+                seen[node_type] += 1
+                token = by_start.get((span.line, span.col))
+                assert token == (kind, value, span.line, span.col, span.end_line, span.end_col), node_type
+        assert set(seen) == set(SPAN_TOKENS) | set(OPERATORS)
+
+
+class TestWorkCount:
+    """The parser reads the token stream by index: it builds no Token and
+    a Span only where the tree keeps one. Counts, not timings."""
+
+    def test_library_check_builds_no_token_and_few_spans(self, monkeypatch):
+        text = _library_check_text()
+        counts = Counter()
+        new_token, post_init = Token.__new__, Span.__post_init__
+
+        def counting_token(cls, *args, **kwargs):
+            counts["Token"] += 1
+            return new_token(cls, *args, **kwargs)
+
+        def counting_span(self):
+            counts["Span"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Token, "__new__", staticmethod(counting_token))
+        monkeypatch.setattr(Span, "__post_init__", counting_span)
+        library = parse_library(text)
+        assert len(library.items) == 1600
+        assert counts["Token"] == 0
+        # 15,441 before the token stream: one per kept span, Basic nodes
+        # included; a Basic now shares its first frame's span.
+        assert counts["Span"] <= 15_441
+        assert counts["Span"] == len({id(span) for _, span, _, _ in kept_spans(library)})

@@ -42,7 +42,7 @@ from godp.diagnostics import GodpError, Span
 from godp.emitter import emit_manchester
 from godp.expansion import Substitution, apply_substitution, prune_omitted, stratify_ontology
 from godp.frames import desugar_frames
-from godp.names import THING, StructuredName, name, stratify_name, substitute_name
+from godp.names import THING, THING_BASE, StructuredName, name, stratify_name, substitute_name
 from godp.ontology import FlatOntology, SigEntry, Signature, combine, union
 from godp.parser import parse_frames
 
@@ -483,7 +483,9 @@ class TestStratifyProperties:
 
 def reference_stratify(o: FlatOntology) -> FlatOntology:
     """The original full rewrite: group every signature name by its
-    stratified identifier, map every name of every axiom, rebuild."""
+    stratified identifier, map every name of every axiom, rebuild. A name
+    with a constituent owl:Thing has no identifier: the first one in the
+    signature is an UnstratifiedName error."""
     by_id: dict[str, list] = {}
     for n, entry in o.signature:
         by_id.setdefault(stratify_name(n), []).append((n, entry))
@@ -495,6 +497,11 @@ def reference_stratify(o: FlatOntology) -> FlatOntology:
         if len(kinds) > 1 or len(declared) > 1:
             a, b = sources[0][0], sources[1][0]
             raise GodpError("StratificationCollision", f"{a} and {b} both stratify to {ident!r}")
+    for n, _ in o.signature:
+        if n.groups and THING_BASE in stratify_name(n):
+            raise GodpError(
+                "UnstratifiedName", f"structured name {n} cannot be stratified: owl:Thing cannot be a constituent"
+            )
     rewritten = [map_axiom_names(ax, lambda n: StructuredName(stratify_name(n))) for ax in o.axioms]
     return FlatOntology.from_axioms(rewritten)
 
@@ -562,6 +569,10 @@ class TestStratifyMatchesReference:
     @SUITE
     @given(stratify_inputs)
     @example(FlatOntology.from_axioms([Declaration(EntityKind.CLASS, StructuredName("Ca", ((THING,),)))]))
+    @example(FlatOntology.from_axioms([
+        Declaration(EntityKind.CLASS, _bracketed("Ca", "X")),
+        SubClassOf(Named(StructuredName("Cb", ((name("X"), THING),))), Named(StructuredName("Ca", ((THING,),)))),
+    ]))
     def test_same_axioms_signature_and_error(self, o):
         self._check(o)
 
