@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .diagnostics import EXIT_IO, EXIT_OK, Diagnostic, GodpError, exit_code_for
 from .emitter import emit_manchester
-from .expansion import Expander, expand, stratify_ontology
+from .expansion import expand, stratify_ontology
 from .parser import parse_library
 from .report import render_report
 from .resolver import ResolvedLibrary, resolve
@@ -111,11 +111,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if isinstance(resolved, int):
         return resolved
     worst = EXIT_OK
-    # One expander for every target: each named ontology is flattened once.
-    expander = Expander(resolved, args.input)
     for name in resolved.ontology_names():
         try:
-            result = expand(resolved, name, args.input, expander=expander)
+            result = expand(resolved, name, args.input)
             stratify_ontology(result.ontology)
         except GodpError as exc:
             worst = max(worst, session.fail(exc.with_file(args.input)))

@@ -397,12 +397,7 @@ def _transform_body(e: OntologyExpr, subst: Substitution, desugar) -> OntologyEx
 # ---------------------------------------------------------------------------
 
 
-def expand(
-    resolved: ResolvedLibrary, target: str, file: str | None = None, expander: Expander | None = None
-) -> ExpansionResult:
-    """Flatten the ontology ``target``. Pass one ``expander`` (over the same
-    library and file) to several calls to share its memo of named ontologies
-    and desugared blocks between them."""
+def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> ExpansionResult:
     item = resolved.table.get(target)
     if item is None:
         raise GodpError("UnknownTarget", f"no ontology named {target!r} in the library", file=file)
@@ -410,8 +405,7 @@ def expand(
         raise GodpError(
             "UnknownTarget", f"{target!r} is a pattern; flattening targets an ontology", item.span, file
         )
-    if expander is None:
-        expander = Expander(resolved, file)
+    expander = Expander(resolved, file)
     onto, obligations = expander.expand_item(target)
     # Referencing one named ontology from several places replays its memoized
     # obligations; keep each site's obligation once.
