@@ -105,8 +105,8 @@ class TokenStream:
     """The tokens of one text as parallel lists: ``kinds``, ``values`` and
     ``starts`` (the offset of each token's first character), plus
     ``line_starts``, the offset of each line's first character. A token's
-    ``Span`` is built only when asked for, since the parser keeps few.
-    Indexing and iterating give ``Token`` values."""
+    ``Span`` is built only when asked for. Indexing and iterating give
+    ``Token`` values."""
 
     __slots__ = ("kinds", "values", "starts", "line_starts")
 
@@ -119,22 +119,16 @@ class TokenStream:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def _position(self, i: int) -> tuple[int, int, int]:
-        """Line, column and end column of token ``i``; a token ends on the
-        line it starts on."""
+    def span(self, i: int) -> Span:
+        """Token ``i``'s span; a token ends on the line it starts on."""
         start = self.starts[i]
         line = bisect_right(self.line_starts, start)
         col = start - self.line_starts[line - 1] + 1
-        return line, col, col + len(self.values[i]) + (self.kinds[i] in _COLON_KINDS)
-
-    def span(self, i: int) -> Span:
-        line, col, end_col = self._position(i)
-        return Span(line, col, line, end_col)
+        return Span(line, col, line, col + len(self.values[i]) + (self.kinds[i] in _COLON_KINDS))
 
     def __getitem__(self, i: int) -> Token:
-        i = range(len(self.kinds))[i]
-        line, col, end_col = self._position(i)
-        return Token(self.kinds[i], self.values[i], line, col, line, end_col)
+        s = self.span(i)
+        return Token(self.kinds[i], self.values[i], s.line, s.col, s.end_line, s.end_col)
 
     def __iter__(self) -> Iterator[Token]:
         return map(self.__getitem__, range(len(self.kinds)))
@@ -167,63 +161,46 @@ def tokenize(text: str, file: str | None = None) -> TokenStream:
                 i = n
             continue
 
+        start = i
         if c.isalpha():
             j = _WORD_TAIL.match(text, i + 1).end()
-            word = text[i:j]
-            add_start(i)
+            value = text[i:j]
             # owl:Thing is a single atom (no spaces around the colon).
-            if word == "owl" and text.startswith(":Thing", j) and not (
+            if value == "owl" and text.startswith(":Thing", j) and not (
                 j + 6 < n and (text[j + 6].isalnum() or text[j + 6] == "_")
             ):
-                i = j + 6
-                add_kind(OWL_THING)
-                add_value("owl:Thing")
-                continue
-            if j < n and text[j] == ":":
-                if word in FRAME_KEYWORDS:
-                    add_kind(FRAME_KW)
-                elif word in SECTION_KEYWORDS:
-                    add_kind(SECTION_KW)
-                elif word in UNSUPPORTED_KEYWORDS:
-                    add_kind(UNSUPPORTED_KW)
+                kind, value, i = OWL_THING, "owl:Thing", j + 6
+            elif j < n and text[j] == ":":
+                if value in FRAME_KEYWORDS:
+                    kind = FRAME_KW
+                elif value in SECTION_KEYWORDS:
+                    kind = SECTION_KW
+                elif value in UNSUPPORTED_KEYWORDS:
+                    kind = UNSUPPORTED_KW
                 else:
-                    raise _error(f"unknown frame or section keyword '{word}:'", text, i, file)
-                add_value(word)
+                    raise _error(f"unknown frame or section keyword '{value}:'", text, i, file)
                 i = j + 1
-                continue
-            add_kind(KEYWORD if word in KEYWORDS else IDENT)
-            add_value(word)
-            i = j
-            continue
-
-        kind = _PUNCT.get(c)
-        if kind is not None:
-            add_kind(kind)
-            add_value(c)
-            add_start(i)
+            else:
+                kind = KEYWORD if value in KEYWORDS else IDENT
+                i = j
+        elif (kind := _PUNCT.get(c)) is not None:
+            value = c
             i += 1
-            continue
-
-        if c.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            add_kind(INT)
-            add_value(text[i:j])
-            add_start(i)
-            i = j
-            continue
-
-        if c == "|":
-            if text.startswith("|->", i):
-                add_kind(MAPSTO)
-                add_value("|->")
-                add_start(i)
-                i += 3
-                continue
+        elif c.isdigit():
+            i += 1
+            while i < n and text[i].isdigit():
+                i += 1
+            kind, value = INT, text[start:i]
+        elif text.startswith("|->", i):
+            kind, value = MAPSTO, "|->"
+            i += 3
+        elif c == "|":
             raise _error("unexpected character '|' (did you mean '|->'?)", text, i, file)
-
-        raise _error(f"unexpected character {c!r}", text, i, file)
+        else:
+            raise _error(f"unexpected character {c!r}", text, i, file)
+        add_kind(kind)
+        add_value(value)
+        add_start(start)
 
     add_kind(EOF)
     add_value("")

@@ -75,10 +75,10 @@ class _Parser:
 
     def __init__(self, text: str, file: str | None = None):
         self.file = file
-        self.tokens = tokenize(text, file)
-        self.kinds = self.tokens.kinds
-        self.values = self.tokens.values
-        self.span = self.tokens.span
+        tokens = tokenize(text, file)
+        self.kinds = tokens.kinds
+        self.values = tokens.values
+        self.span = tokens.span
         self.plain_names: dict[str, StructuredName] = {}  # one object per plain name
         self.pos = 0
         self.kind = self.kinds[0]
@@ -247,8 +247,6 @@ class _Parser:
         frames = [self.parse_frame()]
         while self.kind == FRAME_KW:
             frames.append(self.parse_frame())
-        if self.kind == UNSUPPORTED_KW:
-            raise self.unsupported()
         # A block's span is its first frame's: the same token.
         return Basic(tuple(frames), frames[0].span)
 
