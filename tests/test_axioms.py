@@ -6,6 +6,7 @@ from godp.axioms import (
     AtomicAxiom,
     Cardinality,
     ClassAssertion,
+    ClassExpr,
     Declaration,
     DisjointClasses,
     EntityKind,
@@ -34,7 +35,7 @@ from godp.axioms import (
 from godp.diagnostics import GodpError
 from godp.emitter import emit_manchester
 from godp.frames import desugar_frames
-from godp.names import THING, StructuredName, name
+from godp.names import THING, StructuredName, name, substitute_name
 from godp.ontology import FlatOntology
 from godp.parser import parse_frames
 
@@ -330,3 +331,118 @@ class TestSchemaTable:
             "Class: A\n  EquivalentTo: owl:Thing\n  DisjointWith: not C\n\n"
             "Class: B\n  EquivalentTo: A\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# One instance of each class-expression type, nested so that every
+# parenthesization rule fires. Pins what every per-type walk over class
+# expressions must agree on.
+# ---------------------------------------------------------------------------
+
+# (expression, render_expr text, text after normalization, text after renaming
+# A -> K and r -> t, referenced_kinds of the expression's names)
+EXPR_TABLE = [
+    (
+        Named(sn("B", "A")),
+        "B[A]",
+        "B[A]",
+        "B[K]",
+        [(sn("B", "A"), CLASS)],
+    ),
+    (
+        SomeValuesFrom(name("r"), Or((cls("C"), cls("B")))),
+        "r some (C or B)",
+        "r some (B or C)",
+        "t some (C or B)",
+        [(name("r"), OBJ), (name("C"), CLASS), (name("B"), CLASS)],
+    ),
+    (
+        AllValuesFrom(name("s"), SomeValuesFrom(name("r"), cls("A"))),
+        "s only r some A",
+        "s only r some A",
+        "s only t some K",
+        [(name("s"), OBJ), (name("r"), OBJ), (name("A"), CLASS)],
+    ),
+    (
+        Cardinality(sn("p", "A"), "max", 1, And((cls("C"), cls("B")))),
+        "p[A] max 1 (C and B)",
+        "p[A] max 1 (B and C)",
+        "p[K] max 1 (C and B)",
+        [(sn("p", "A"), OBJ), (name("C"), CLASS), (name("B"), CLASS)],
+    ),
+    (
+        Not(And((cls("Y"), cls("X")))),
+        "not (Y and X)",
+        "not (X and Y)",
+        "not (Y and X)",
+        [(name("Y"), CLASS), (name("X"), CLASS)],
+    ),
+    (
+        And((Or((cls("D"), cls("C"))), cls("B"), Not(cls("A")))),
+        "(D or C) and B and not A",
+        # sorted by the text at the outermost level: "B" < "C or D" < "not A"
+        "B and (C or D) and not A",
+        "(D or C) and B and not K",
+        [(name("D"), CLASS), (name("C"), CLASS), (name("B"), CLASS), (name("A"), CLASS)],
+    ),
+    (
+        Or((SomeValuesFrom(name("r"), cls("A")), Or((cls("D"), cls("C"))), And((cls("B"), cls("A"))))),
+        "r some A or (D or C) or B and A",
+        "A and B or (C or D) or r some A",  # "A and B" < "C or D" < "r some A"
+        "t some K or (D or C) or B and K",
+        [(name("r"), OBJ), (name("A"), CLASS), (name("D"), CLASS), (name("C"), CLASS),
+         (name("B"), CLASS), (name("A"), CLASS)],
+    ),
+]
+
+EXPR_RENAMING = {name("A"): name("K"), name("r"): name("t")}
+
+
+def _expr_ids(row):
+    return type(row[0]).__name__
+
+
+class TestClassExpressionTable:
+    def test_covers_every_class_expression_type(self):
+        assert {type(row[0]) for row in EXPR_TABLE} == set(ClassExpr.__subclasses__())
+        assert len(EXPR_TABLE) == 7
+
+    @pytest.mark.parametrize("row", EXPR_TABLE, ids=_expr_ids)
+    def test_render(self, row):
+        assert render_expr(row[0]) == row[1]
+
+    @pytest.mark.parametrize("row", EXPR_TABLE, ids=_expr_ids)
+    def test_normalize(self, row):
+        e, _, normal, _, _ = row
+        normalized = normalize_axiom(SubClassOf(cls("Q"), e)).sup
+        assert render_expr(normalized) == normal
+        assert normalize_axiom(SubClassOf(cls("Q"), normalized)).sup == normalized
+
+    @pytest.mark.parametrize("row", EXPR_TABLE, ids=_expr_ids)
+    def test_map_axiom_names(self, row):
+        e, _, _, renamed, _ = row
+        mapped = map_axiom_names(SubClassOf(cls("Q"), e), lambda n: substitute_name(n, EXPR_RENAMING))
+        assert mapped.sub == cls("Q")
+        assert render_expr(mapped.sup) == renamed
+
+    @pytest.mark.parametrize("row", EXPR_TABLE, ids=_expr_ids)
+    def test_referenced_kinds(self, row):
+        e, _, _, _, kinds = row
+        assert referenced_kinds(SubClassOf(cls("Q"), e)) == [(name("Q"), CLASS)] + kinds
+
+    def test_commutative_sides_sorted_by_text(self):
+        disjunction = EXPR_TABLE[-1][0]
+        a = cls("A")
+        normal_or = normalize_axiom(SubClassOf(a, disjunction)).sup
+        for ax_type in (EquivalentClasses, DisjointClasses):
+            assert normalize_axiom(ax_type(disjunction, a)) == ax_type(a, normal_or)
+            assert normalize_axiom(ax_type(a, disjunction)) == ax_type(a, normal_or)
+
+    def test_normalization_keeps_named_objects(self):
+        a, b = cls("A"), cls("B")
+        normalized = normalize_axiom(SubClassOf(a, And((b, Not(a)))))
+        assert normalized.sub is a
+        assert normalized.sup.operands[0] is b
+        assert normalized.sup.operands[1].operand is a
+        ax = InverseProperties(name("p"), name("q"))
+        assert normalize_axiom(ax) is ax

@@ -659,3 +659,52 @@ class TestDeterminism:
         b = expand(resolve(parse_library(text)), "ProfRoleOntology").ontology
         assert a.axioms == b.axioms
         assert list(a.signature) == list(b.signature)
+
+
+class TestBodyEvaluation:
+    def test_body_desugared_before_nested_instantiation_checked(self):
+        # Q's KindMismatch comes first in the body, but every Basic block of
+        # a body is desugared before any part of it is evaluated.
+        text = (
+            "library L pattern Q [ObjectProperty: p] = ObjectProperty: p end "
+            "pattern P [Class: X] = Q [ObjectProperty: X] and Class: A Domain: B end "
+            "ontology O = P [Class: C] end"
+        )
+        with pytest.raises(GodpError) as exc:
+            expand(resolve_text(text), "O")
+        assert exc.value.code == "UnsupportedConstruct"
+        assert exc.value.message == "section 'Domain' is not supported in a Class frame"
+        assert [n.message for n in exc.value.notes] == ["while expanding instantiation of 'P'"]
+
+    def test_instantiation_pruned_inside_then_chain(self):
+        text = (
+            "library L pattern Inner [Class: A] = Class: A SubClassOf: B end "
+            "pattern Outer [Class: X] [Class: Y ?] = "
+            "Class: X then Inner [Class: Y] then Class: Z SubClassOf: Y end "
+            "ontology O = Class: W then Outer [Class: K] [] end"
+        )
+        onto = flatten_text(text, "O")
+        assert onto.axioms == (
+            Declaration(CLS, name("W")),
+            Declaration(CLS, name("K")),
+            Declaration(CLS, name("Z")),
+        )
+
+    def test_two_sites_with_different_substitutions(self):
+        text = (
+            "library L pattern R [ObjectProperty: p] [Class: D] = "
+            "ObjectProperty: p Domain: D end "
+            "pattern Twice [Class: X] = R [ObjectProperty: r[X]] [Class: X] and R [q] [Class: X] end "
+            "ontology O = Twice [Class: A] and Twice [Class: B] end"
+        )
+        onto = flatten_text(text, "O", stratify=False)
+        r = lambda c: StructuredName("r", ((name(c),),))  # noqa: E731
+        assert onto.axioms == (
+            Declaration(OP, r("A")),
+            ObjectPropertyDomain(r("A"), c("A")),
+            Declaration(OP, name("q")),
+            ObjectPropertyDomain(name("q"), c("A")),
+            Declaration(OP, r("B")),
+            ObjectPropertyDomain(r("B"), c("B")),
+            ObjectPropertyDomain(name("q"), c("B")),
+        )
