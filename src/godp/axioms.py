@@ -31,16 +31,41 @@ class EntityKind(enum.Enum):
 # Class expressions
 # ---------------------------------------------------------------------------
 
+# Field roles besides EntityKind members: a class expression, the operand
+# tuple of a conjunction or disjunction, and the name a Declaration declares,
+# whose kind is the Declaration's ``kind`` field.
+EXPR = "class expression"
+EXPRS = "class expressions"
+DECLARED = "declared name"
+
+# Rendering precedence levels: a child rendered at a position demanding a
+# tighter level gets parenthesized.
+_LEVEL_OR = 0
+_LEVEL_AND = 1
+_LEVEL_UNARY = 2
+
 
 class ClassExpr:
-    """Base class; all nodes are frozen and hashable."""
+    """Base of the class-expression types; all nodes are frozen and hashable.
+    Each type states its schema in class attributes, as the atomic axioms
+    do: ``roles`` per field (an EntityKind, EXPR, EXPRS for an operand tuple
+    whose order normalization sorts, or None for a constant), and either a
+    ``template`` with one ``{}`` per field, its class expressions written at
+    the unary level, or the ``joiner`` of its operands and its precedence
+    ``level``, the operands written one level tighter."""
 
     __slots__ = ()
+
+    roles: tuple = ()
+    joiner: str | None = None
+    commutative = False
 
 
 @dataclass(frozen=True)
 class Named(ClassExpr):
     name: StructuredName
+    roles = (EntityKind.CLASS,)
+    template = "{}"
 
     @property
     def is_thing(self) -> bool:
@@ -51,12 +76,16 @@ class Named(ClassExpr):
 class SomeValuesFrom(ClassExpr):
     prop: StructuredName
     filler: ClassExpr
+    roles = (EntityKind.OBJECT_PROPERTY, EXPR)
+    template = "{} some {}"
 
 
 @dataclass(frozen=True)
 class AllValuesFrom(ClassExpr):
     prop: StructuredName
     filler: ClassExpr
+    roles = (EntityKind.OBJECT_PROPERTY, EXPR)
+    template = "{} only {}"
 
 
 @dataclass(frozen=True)
@@ -65,6 +94,8 @@ class Cardinality(ClassExpr):
     bound: str  # "min" | "max" | "exactly"
     n: int
     filler: ClassExpr
+    roles = (EntityKind.OBJECT_PROPERTY, None, None, EXPR)
+    template = "{} {} {} {}"
 
     def __post_init__(self) -> None:
         if self.bound not in ("min", "max", "exactly"):
@@ -76,11 +107,15 @@ class Cardinality(ClassExpr):
 @dataclass(frozen=True)
 class Not(ClassExpr):
     operand: ClassExpr
+    roles = (EXPR,)
+    template = "not {}"
 
 
 @dataclass(frozen=True)
 class And(ClassExpr):
     operands: tuple[ClassExpr, ...]
+    roles = (EXPRS,)
+    joiner, level = " and ", _LEVEL_AND
 
     def __post_init__(self) -> None:
         if len(self.operands) < 2:
@@ -90,52 +125,31 @@ class And(ClassExpr):
 @dataclass(frozen=True)
 class Or(ClassExpr):
     operands: tuple[ClassExpr, ...]
+    roles = (EXPRS,)
+    joiner, level = " or ", _LEVEL_OR
 
     def __post_init__(self) -> None:
         if len(self.operands) < 2:
             raise ValueError("disjunction needs at least 2 operands")
 
 
-# Rendering precedence levels: a child rendered at a position demanding a
-# tighter level gets parenthesized.
-_LEVEL_OR = 0
-_LEVEL_AND = 1
-_LEVEL_UNARY = 2
-
-
 def render_expr(e: ClassExpr, min_level: int = _LEVEL_OR) -> str:
-    level = _LEVEL_UNARY
-    if isinstance(e, Named):
-        text = e.name.render()
-    elif isinstance(e, SomeValuesFrom):
-        text = f"{e.prop.render()} some {render_expr(e.filler, _LEVEL_UNARY)}"
-    elif isinstance(e, AllValuesFrom):
-        text = f"{e.prop.render()} only {render_expr(e.filler, _LEVEL_UNARY)}"
-    elif isinstance(e, Cardinality):
-        text = f"{e.prop.render()} {e.bound} {e.n} {render_expr(e.filler, _LEVEL_UNARY)}"
-    elif isinstance(e, Not):
-        text = f"not {render_expr(e.operand, _LEVEL_UNARY)}"
-    elif isinstance(e, And):
-        text = " and ".join(render_expr(op, _LEVEL_UNARY) for op in e.operands)
-        level = _LEVEL_AND
-    elif isinstance(e, Or):
-        text = " or ".join(render_expr(op, _LEVEL_AND) for op in e.operands)
-        level = _LEVEL_OR
-    else:  # pragma: no cover - closed hierarchy
-        raise TypeError(f"unknown class expression {e!r}")
-    if level < min_level:
-        return "(" + text + ")"
-    return text
+    cls = type(e)
+    if cls is Named:  # the most frequent node: no schema lookups
+        return e.name.render()
+    values = cls._values(e)
+    if cls.joiner is None:
+        return cls.template.format(*[
+            render_expr(v, _LEVEL_UNARY) if r is EXPR else v if r is None else v.render()
+            for r, v in zip(cls.roles, values)
+        ])
+    text = cls.joiner.join([render_expr(op, cls.level + 1) for op in values[0]])
+    return text if cls.level >= min_level else "(" + text + ")"
 
 
 # ---------------------------------------------------------------------------
 # Atomic axioms
 # ---------------------------------------------------------------------------
-
-# Field roles besides EntityKind members: a class expression, and the name a
-# Declaration declares, whose kind is the Declaration's ``kind`` field.
-EXPR = "class expression"
-DECLARED = "declared name"
 
 # Frame section keywords, in the order the emitter writes a frame's sections.
 SECTION_KEYWORDS = (
@@ -285,18 +299,22 @@ class PropertyAssertion(AtomicAxiom):
     subject_at = 1
 
 
-def _derive(cls: type[AtomicAxiom]) -> None:
-    """Precompute from the schema what the walks below read, so that their
-    work per call stays flat: a getter of the field values (by attribute, as
-    ``vars()`` would give each axiom a dict of its own), (index, role) of each
-    name or class-expression field, the indices of the class-expression
-    fields, and per choice of subject field the fields of the section text."""
+def _derive(cls: type) -> None:
+    """Precompute from the schema of an axiom or class-expression type what
+    the walks below read, so that their work per call stays flat: a getter
+    of the field values (by attribute, as ``vars()`` would give each node a
+    dict of its own), (index, role) of each name or class-expression field,
+    the indices of the class-expression fields, and per choice of subject
+    field the fields of the section text."""
     get = attrgetter(*(f.name for f in fields(cls)))
-    cls._values = get if len(cls.roles) > 1 else lambda ax: (get(ax),)
+    cls._values = get if len(cls.roles) > 1 else lambda node: (get(node),)
     cls._positions = tuple((i, r) for i, r in enumerate(cls.roles) if r is not None)
-    cls._exprs = tuple(i for i, r in cls._positions if r is EXPR)
+    cls._exprs = tuple(i for i, r in cls._positions if r is EXPR or r is EXPRS)
     cls._text = [tuple(p for p in cls._positions if p[0] != at) for at in range(len(cls.roles))]
 
+
+for _cls in ClassExpr.__subclasses__():
+    _derive(_cls)
 
 # section keyword -> (frame kind, {payload: axiom type}); the payload is None
 # for a section whose items fill the fields besides the subject.
@@ -377,34 +395,21 @@ def frame_entry(ax: AtomicAxiom) -> tuple[StructuredName, str | None, str | None
 # ---------------------------------------------------------------------------
 
 
-def normalize_expr(e: ClassExpr) -> ClassExpr:
-    if isinstance(e, Named):
-        return e
-    if isinstance(e, SomeValuesFrom):
-        return SomeValuesFrom(e.prop, normalize_expr(e.filler))
-    if isinstance(e, AllValuesFrom):
-        return AllValuesFrom(e.prop, normalize_expr(e.filler))
-    if isinstance(e, Cardinality):
-        return Cardinality(e.prop, e.bound, e.n, normalize_expr(e.filler))
-    if isinstance(e, Not):
-        return Not(normalize_expr(e.operand))
-    if isinstance(e, And):
-        ops = sorted((normalize_expr(op) for op in e.operands), key=render_expr)
-        return And(tuple(ops))
-    if isinstance(e, Or):
-        ops = sorted((normalize_expr(op) for op in e.operands), key=render_expr)
-        return Or(tuple(ops))
-    raise TypeError(f"unknown class expression {e!r}")  # pragma: no cover
-
-
-def normalize_axiom(ax: AtomicAxiom) -> AtomicAxiom:
-    """Canonical form: commutative operands sorted, everything else preserved."""
-    cls = type(ax)
+def normalize_axiom(node: AtomicAxiom | ClassExpr) -> AtomicAxiom | ClassExpr:
+    """Canonical form of an axiom or class expression: commutative operands
+    sorted by their text, everything else preserved. A node without a
+    class-expression field (a Named, or an axiom of names only) is returned
+    as it is."""
+    cls = type(node)
     if not cls._exprs:
-        return ax
-    values = list(cls._values(ax))
+        return node
+    values = list(cls._values(node))
     for i in cls._exprs:
-        values[i] = normalize_expr(values[i])
+        v = values[i]
+        if cls.roles[i] is EXPRS:
+            values[i] = tuple(sorted(map(normalize_axiom, v), key=render_expr))
+        elif type(v) is not Named:  # a Named is its own normal form
+            values[i] = normalize_axiom(v)
     if cls.commutative and render_expr(values[1]) < render_expr(values[0]):
         values.reverse()
     return cls(*values)
@@ -419,33 +424,25 @@ def axioms_equal(a: AtomicAxiom, b: AtomicAxiom) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def referenced_kinds(ax: AtomicAxiom) -> list[tuple[StructuredName, EntityKind]]:
-    """Entity-position names in textual order (no constituent closure), each
-    with the kind its position implies."""
-    pairs: list[tuple[StructuredName, EntityKind]] = []
-    values = type(ax)._values(ax)
-    for i, role in ax._positions:
+def referenced_kinds(node: AtomicAxiom | ClassExpr, pairs: list | None = None) -> list[tuple]:
+    """Entity-position names of an axiom or class expression in textual
+    order (no constituent closure), each with the kind its position implies;
+    appended to ``pairs`` if given."""
+    if pairs is None:
+        pairs = []
+    if type(node) is Named:  # the most frequent node: no schema lookups
+        pairs.append((node.name, EntityKind.CLASS))
+        return pairs
+    values = type(node)._values(node)
+    for i, role in node._positions:
         if role is EXPR:
-            _expr_kinds(values[i], pairs)
+            referenced_kinds(values[i], pairs)
+        elif role is EXPRS:
+            for op in values[i]:
+                referenced_kinds(op, pairs)
         else:
-            pairs.append((values[i], ax.kind if role is DECLARED else role))
+            pairs.append((values[i], node.kind if role is DECLARED else role))
     return pairs
-
-
-def _expr_kinds(e: ClassExpr, pairs: list[tuple[StructuredName, EntityKind]]) -> None:
-    """Class-expression part of :func:`referenced_kinds`. A module-level
-    function rather than a closure that calls itself, which would be a
-    reference cycle left for the garbage collector at every call."""
-    if isinstance(e, Named):
-        pairs.append((e.name, EntityKind.CLASS))
-    elif isinstance(e, (SomeValuesFrom, AllValuesFrom, Cardinality)):
-        pairs.append((e.prop, EntityKind.OBJECT_PROPERTY))
-        _expr_kinds(e.filler, pairs)
-    elif isinstance(e, Not):
-        _expr_kinds(e.operand, pairs)
-    elif isinstance(e, (And, Or)):
-        for op in e.operands:
-            _expr_kinds(op, pairs)
 
 
 def axiom_names(ax: AtomicAxiom) -> list[StructuredName]:
@@ -466,31 +463,21 @@ def mentions(ax: AtomicAxiom) -> frozenset[StructuredName]:
 # ---------------------------------------------------------------------------
 
 
-def map_expr_names(e: ClassExpr, fn) -> ClassExpr:
-    """Apply ``fn`` to every entity-position name in the expression."""
-    if isinstance(e, Named):
-        return Named(fn(e.name))
-    if isinstance(e, SomeValuesFrom):
-        return SomeValuesFrom(fn(e.prop), map_expr_names(e.filler, fn))
-    if isinstance(e, AllValuesFrom):
-        return AllValuesFrom(fn(e.prop), map_expr_names(e.filler, fn))
-    if isinstance(e, Cardinality):
-        return Cardinality(fn(e.prop), e.bound, e.n, map_expr_names(e.filler, fn))
-    if isinstance(e, Not):
-        return Not(map_expr_names(e.operand, fn))
-    if isinstance(e, And):
-        return And(tuple(map_expr_names(op, fn) for op in e.operands))
-    if isinstance(e, Or):
-        return Or(tuple(map_expr_names(op, fn) for op in e.operands))
-    raise TypeError(f"unknown class expression {e!r}")  # pragma: no cover
-
-
-def map_axiom_names(ax: AtomicAxiom, fn) -> AtomicAxiom:
-    """Apply ``fn`` to every entity-position name in the axiom, in textual order."""
-    cls = type(ax)
-    values = list(cls._values(ax))
+def map_axiom_names(node: AtomicAxiom | ClassExpr, fn) -> AtomicAxiom | ClassExpr:
+    """Apply ``fn`` to every entity-position name of an axiom or class
+    expression, in textual order."""
+    cls = type(node)
+    if cls is Named:  # the most frequent node: no schema lookups
+        return Named(fn(node.name))
+    values = list(cls._values(node))
     for i, role in cls._positions:
-        values[i] = map_expr_names(values[i], fn) if role is EXPR else fn(values[i])
+        v = values[i]
+        if role is EXPR:
+            values[i] = map_axiom_names(v, fn)
+        elif role is EXPRS:
+            values[i] = tuple([map_axiom_names(op, fn) for op in v])
+        else:
+            values[i] = fn(v)
     return cls(*values)
 
 

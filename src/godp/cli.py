@@ -20,7 +20,7 @@ from .expansion import expand, stratify_ontology
 from .parser import parse_library
 from .report import render_report
 from .resolver import ResolvedLibrary, resolve
-from .syntax import OntologyDef, PatternDef, SymbolParam
+from .syntax import Library, OntologyDef, PatternDef, SymbolParam
 
 
 class _Session:
@@ -44,7 +44,7 @@ class _Session:
         return exit_code_for(exc.code)
 
 
-def _load(path: str, session: _Session) -> tuple[str, str] | int:
+def _parse(path: str, session: _Session) -> Library | int:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -55,23 +55,19 @@ def _load(path: str, session: _Session) -> tuple[str, str] | int:
             Diagnostic("error", "IoError", f"cannot read {path}: not UTF-8 at byte {exc.start}", file=path)
         )
         return EXIT_IO
-    return text, path
+    try:
+        return parse_library(text, path)
+    except GodpError as exc:
+        return session.fail(exc.with_file(path))
 
 
 def _parse_and_resolve(path: str, session: _Session) -> ResolvedLibrary | int:
-    loaded = _load(path, session)
-    if isinstance(loaded, int):
-        return loaded
-    text, file = loaded
-    try:
-        library = parse_library(text, file)
-    except GodpError as exc:
-        return session.fail(exc.with_file(file))
-    resolved = resolve(library, file)
+    library = _parse(path, session)
+    if isinstance(library, int):
+        return library
+    resolved = resolve(library, path)
     code = session.emit_all(resolved.diagnostics)
-    if code != EXIT_OK:
-        return code
-    return resolved
+    return resolved if code == EXIT_OK else code
 
 
 def _write_output(text: str, output: str | None, session: _Session) -> int:
@@ -86,8 +82,7 @@ def _write_output(text: str, output: str | None, session: _Session) -> int:
     return EXIT_OK
 
 
-def cmd_flatten(args: argparse.Namespace) -> int:
-    session = _Session(args.json_diagnostics)
+def cmd_flatten(args: argparse.Namespace, session: _Session) -> int:
     resolved = _parse_and_resolve(args.input, session)
     if isinstance(resolved, int):
         return resolved
@@ -95,7 +90,7 @@ def cmd_flatten(args: argparse.Namespace) -> int:
         result = expand(resolved, args.target, args.input)
         ontology = result.ontology
         if not args.keep_structured_names:
-            ontology = stratify_ontology(ontology)
+            ontology = stratify_ontology(ontology, resolved.table[args.target].span)
         text = emit_manchester(ontology, allow_structured=args.keep_structured_names)
     except GodpError as exc:
         return session.fail(exc.with_file(args.input))
@@ -105,8 +100,7 @@ def cmd_flatten(args: argparse.Namespace) -> int:
     return _write_output(text, args.output, session)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    session = _Session(args.json_diagnostics)
+def cmd_check(args: argparse.Namespace, session: _Session) -> int:
     resolved = _parse_and_resolve(args.input, session)
     if isinstance(resolved, int):
         return resolved
@@ -114,7 +108,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for name in resolved.ontology_names():
         try:
             result = expand(resolved, name, args.input)
-            stratify_ontology(result.ontology)
+            stratify_ontology(result.ontology, resolved.table[name].span)
         except GodpError as exc:
             worst = max(worst, session.fail(exc.with_file(args.input)))
             continue
@@ -122,16 +116,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_list(args: argparse.Namespace) -> int:
-    session = _Session(args.json_diagnostics)
-    loaded = _load(args.input, session)
-    if isinstance(loaded, int):
-        return loaded
-    text, file = loaded
-    try:
-        library = parse_library(text, file)
-    except GodpError as exc:
-        return session.fail(exc.with_file(file))
+def cmd_list(args: argparse.Namespace, session: _Session) -> int:
+    library = _parse(args.input, session)
+    if isinstance(library, int):
+        return library
     lines = [f"library {library.name}"]
     for item in library.items:
         if isinstance(item, OntologyDef):
@@ -154,8 +142,7 @@ def _signature_text(item: PatternDef) -> str:
     return "".join(groups)
 
 
-def cmd_obligations(args: argparse.Namespace) -> int:
-    session = _Session(args.json_diagnostics)
+def cmd_obligations(args: argparse.Namespace, session: _Session) -> int:
     resolved = _parse_and_resolve(args.input, session)
     if isinstance(resolved, int):
         return resolved
@@ -168,6 +155,15 @@ def cmd_obligations(args: argparse.Namespace) -> int:
     return _write_output(text, args.output, session)
 
 
+# Each command declares only the options it reads.
+_OPTIONS = {
+    "--target": dict(required=True, help="ontology to process"),
+    "--output": dict(help="output file (defaults to standard output)"),
+    "--keep-structured-names": dict(action="store_true", help="skip stratification; render bracketed names literally"),
+    "--json-diagnostics": dict(action="store_true", help="emit diagnostics as JSON objects, one per line"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="godp",
@@ -175,47 +171,27 @@ def build_parser() -> argparse.ArgumentParser:
         " OWL Manchester syntax.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, target_required: bool) -> None:
+    for name, func, help_text, options in (
+        ("flatten", cmd_flatten, "expand an ontology and emit Manchester syntax",
+         ("--target", "--output", "--keep-structured-names")),
+        ("check", cmd_check, "type-check the whole library", ()),
+        ("list", cmd_list, "list the library's items and signatures", ()),
+        ("obligations", cmd_obligations, "report proof obligations for an ontology", ("--target", "--output")),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to a .gdol pattern library")
-        if target_required:
-            p.add_argument("--target", required=True, help="ontology to process")
-        p.add_argument("--output", help="output file (defaults to standard output)")
-        p.add_argument(
-            "--keep-structured-names",
-            action="store_true",
-            help="skip stratification; render bracketed names literally",
-        )
-        p.add_argument(
-            "--json-diagnostics",
-            action="store_true",
-            help="emit diagnostics as JSON objects, one per line",
-        )
-
-    p = sub.add_parser("flatten", help="expand an ontology and emit Manchester syntax")
-    common(p, target_required=True)
-    p.set_defaults(func=cmd_flatten)
-
-    p = sub.add_parser("check", help="type-check the whole library")
-    common(p, target_required=False)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("list", help="list the library's items and signatures")
-    common(p, target_required=False)
-    p.set_defaults(func=cmd_list)
-
-    p = sub.add_parser("obligations", help="report proof obligations for an ontology")
-    common(p, target_required=True)
-    p.set_defaults(func=cmd_obligations)
-
+        for option in (*options, "--json-diagnostics"):
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # usage errors exit 2 through SystemExit
+    session = _Session(args.json_diagnostics)
     try:
-        return args.func(args)
+        return args.func(args, session)
     except Exception as exc:  # last resort: a diagnostic, not a traceback
         tb = exc.__traceback__
         while tb.tb_next is not None:  # the innermost frame: where it was raised
@@ -223,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
         message = f"{type(exc).__name__} in {where}: {exc}"
         diag = Diagnostic("error", "InternalError", message, file=args.input)
-        _Session(args.json_diagnostics).emit(diag)
+        session.emit(diag)
         return exit_code_for(diag.code)
 
 

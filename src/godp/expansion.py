@@ -2,12 +2,15 @@
 pruning, combination, recursive flattening, stratification, and proof
 obligations.
 
-Expansion of an instantiation proceeds strictly in this order: the argument
-list is checked against the parameter list (producing a substitution and,
-for ontology-valued arguments, proof obligations); axioms mentioning an
-omitted optional parameter are deleted whole — a nested instantiation whose
-argument mentions an omitted name is deleted with them; the substitution is
-applied; only then are nested instantiations expanded recursively.
+Expansion of an instantiation proceeds in this order: the argument list is
+checked against the parameter list (producing a substitution and, for
+ontology-valued arguments, proof obligations); every frame of the pattern
+body is desugared, so a malformed frame is reported before any part of the
+body is evaluated; then the body is evaluated under the substitution, left
+to right. In each block, axioms mentioning an omitted optional parameter
+are deleted whole and the rest are substituted; a nested instantiation
+whose argument mentions an omitted name is deleted whole, and otherwise
+its arguments are substituted and it is expanded recursively.
 Parameterized names are stratified in a separate final pass.
 """
 
@@ -44,6 +47,7 @@ from .syntax import (
     SymbolArg,
     SymbolParam,
     Then,
+    leaves,
 )
 
 
@@ -73,14 +77,6 @@ class ExpansionResult:
     ontology: FlatOntology
     obligations: list[Obligation] = field(default_factory=list)
     warnings: list[Diagnostic] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class _AxiomBlock(OntologyExpr):
-    """Internal node: a Basic block after pruning and substitution."""
-
-    axioms: tuple[AtomicAxiom, ...]
-    span: Span | None
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +300,16 @@ class Expander:
         self._memo[name] = (onto, tuple(obligations))
         return self._memo[name]
 
-    def _eval(self, expr: OntologyExpr, obligations: list[Obligation]) -> FlatOntology:
+    def _eval(
+        self, expr: OntologyExpr, obligations: list[Obligation], subst: Substitution | None = None
+    ) -> FlatOntology:
+        """Flatten ``expr``; in a pattern body, ``subst`` is the site's
+        substitution, applied to each block and nested instantiation."""
         if isinstance(expr, Basic):
-            return FlatOntology.from_axioms(self._desugar(expr), expr.span)
-        if isinstance(expr, _AxiomBlock):
-            return FlatOntology.from_axioms(expr.axioms, expr.span)
+            axioms = self._desugar(expr)
+            if subst is not None:
+                axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)
+            return FlatOntology.from_axioms(axioms, expr.span)
         if isinstance(expr, Ref):
             onto, obs = self.expand_item(expr.name, expr.span)
             obligations.extend(obs)
@@ -317,24 +318,29 @@ class Expander:
             # Extension (`then`) and union (`and`) flatten to the same union;
             # they differ only in evaluation and diagnostic order. The parts
             # are evaluated through map, which adds no frame to the stack.
-            parts = map(self._eval, expr.parts, repeat(obligations))
+            parts = map(self._eval, expr.parts, repeat(obligations), repeat(subst))
             return union(parts, expr.ops, extension=isinstance(expr, Then))
         if isinstance(expr, Instantiate):
             # Evaluated in this frame, not a helper's: with union's frame,
             # each level of pattern nesting costs three frames (_eval, union,
             # _eval), which keeps the depth the default recursion limit allows.
+            args = expr.args if subst is None else _substitute_args(expr.args, subst)
+            if args is None:
+                return FlatOntology.from_axioms((), expr.span)
             pattern = self.resolved.table.get(expr.pattern)
             if not isinstance(pattern, PatternDef):
                 raise GodpError(
                     "NotAPattern", f"{expr.pattern!r} is not a pattern", expr.span, self.file
                 )
             try:
-                subst, obs = check_instantiation(
-                    pattern, expr.args, flatten=self._flatten_argument, span=expr.span
+                site_subst, obs = check_instantiation(
+                    pattern, args, flatten=self._flatten_argument, span=expr.span
                 )
                 obligations.extend(obs)
-                body = _transform_body(pattern.body, subst, self._desugar)
-                return self._eval(body, obligations)
+                for leaf in leaves(pattern.body):
+                    if isinstance(leaf, Basic):
+                        self._desugar(leaf)
+                return self._eval(pattern.body, obligations, site_subst)
             except GodpError as exc:
                 note = Diagnostic(
                     "note",
@@ -358,38 +364,23 @@ class Expander:
         return axioms
 
 
-def _transform_body(e: OntologyExpr, subst: Substitution, desugar) -> OntologyExpr:
-    """Prune and substitute a pattern body before recursive expansion;
-    ``desugar`` gives a Basic node's axioms.
-
-    A module-level function rather than a closure over ``subst``: a closure
-    that calls itself is a reference cycle, left for the garbage collector
-    at every instantiation."""
-    if isinstance(e, Basic):
-        axioms = prune_omitted(desugar(e), subst.omitted)
-        return _AxiomBlock(tuple(apply_substitution(axioms, subst)), e.span)
-    if isinstance(e, Ref):
-        return e
-    if isinstance(e, (Then, AndExpr)):
-        parts = map(_transform_body, e.parts, repeat(subst), repeat(desugar))
-        return type(e)(tuple(parts), e.ops, e.span)
-    if isinstance(e, Instantiate):
-        mapping = subst.as_dict()
-        new_args = []
-        for arg in e.args:
-            if isinstance(arg, SymbolArg):
-                if arg.name.closure() & subst.omitted:
-                    return _AxiomBlock((), e.span)
-                new_args.append(SymbolArg(arg.kind, substitute_name(arg.name, mapping), arg.span))
-            elif isinstance(arg, OntologyArg):
-                if any(t.closure() & subst.omitted for _, t in arg.fit):
-                    return _AxiomBlock((), e.span)
-                new_fit = tuple((s, substitute_name(t, mapping)) for s, t in arg.fit)
-                new_args.append(OntologyArg(arg.name, new_fit, arg.span))
-            else:
-                new_args.append(arg)
-        return Instantiate(e.pattern, tuple(new_args), e.span)
-    raise TypeError(f"unknown expression {e!r}")  # pragma: no cover
+def _substitute_args(args: tuple, subst: Substitution) -> tuple | None:
+    """The arguments of an instantiation inside a pattern body, under the
+    site's substitution; None if one mentions an omitted name, which deletes
+    the instantiation whole."""
+    mapping = subst.as_dict()
+    out = []
+    for arg in args:
+        if isinstance(arg, SymbolArg):
+            if subst.omitted and arg.name.closure() & subst.omitted:
+                return None
+            arg = SymbolArg(arg.kind, substitute_name(arg.name, mapping), arg.span)
+        elif isinstance(arg, OntologyArg):
+            if any(t.closure() & subst.omitted for _, t in arg.fit):
+                return None
+            arg = OntologyArg(arg.name, tuple((s, substitute_name(t, mapping)) for s, t in arg.fit), arg.span)
+        out.append(arg)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +414,7 @@ def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> E
     return ExpansionResult(onto, list(obligations), warnings)
 
 
-def stratify_ontology(o: FlatOntology) -> FlatOntology:
+def stratify_ontology(o: FlatOntology, span: Span | None = None) -> FlatOntology:
     """Rewrite every parameterized name to its flat identifier, consistently
     across signature and axioms, re-deduplicating afterwards.
 
@@ -431,7 +422,7 @@ def stratify_ontology(o: FlatOntology) -> FlatOntology:
     with one identifier are one name. An ontology without them is returned
     as it is, since no ontology changes once built. ``o``'s signature must
     be the one its axioms imply, as it is for every ontology the expander
-    builds."""
+    builds. ``span``, the target ontology's, locates the errors."""
     stratified = {n: stratify_name(n) for n, _ in o.signature if n.groups}
     if not stratified:
         return o
@@ -451,11 +442,13 @@ def stratify_ontology(o: FlatOntology) -> FlatOntology:
             raise GodpError(
                 "StratificationCollision",
                 f"{a} and {b} both stratify to {ident!r}",
+                span,
             )
     for n, ident in stratified.items():
         if ":" in ident:  # only owl:Thing has a colon, and it has no identifier
             raise GodpError(
                 "UnstratifiedName",
                 f"structured name {n} cannot be stratified: owl:Thing cannot be a constituent",
+                span,
             )
     return o.rename({n: StructuredName(ident) for n, ident in stratified.items()})

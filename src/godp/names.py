@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .diagnostics import GodpError
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 THING_BASE = "owl:Thing"
@@ -75,7 +77,8 @@ def substitute_name(n: StructuredName, mapping: dict[StructuredName, StructuredN
     A whole-name match is replaced outright; otherwise the base and every
     constituent are rewritten independently. Substituting a structured
     argument for a base prepends the argument's groups, e.g. ``p[X]`` under
-    ``p -> q[Z]`` becomes ``q[Z][X]``.
+    ``p -> q[Z]`` becomes ``q[Z][X]``; owl:Thing, which takes no
+    constituents, cannot replace a base: that is a KindMismatch.
     """
     if n in mapping:
         return mapping[n]
@@ -87,5 +90,7 @@ def substitute_name(n: StructuredName, mapping: dict[StructuredName, StructuredN
     base_plain = StructuredName(n.base)
     if base_plain in mapping:
         repl = mapping[base_plain]
+        if repl.base == THING_BASE:
+            raise GodpError("KindMismatch", f"owl:Thing cannot replace {n.base} in {n}: it takes no constituents")
         return StructuredName(repl.base, repl.groups + new_groups)
     return StructuredName(n.base, new_groups)

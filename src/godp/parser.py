@@ -118,30 +118,28 @@ class _Parser:
 
     # -- names ---------------------------------------------------------------
 
+    def parse_word(self, expected: str) -> str:
+        """The current identifier as a name: library, item and entity names
+        all follow one rule. The lexer's words are identifiers of Unicode
+        letters and digits; a name must be ASCII (see names.StructuredName)
+        and not a Manchester operator word."""
+        if self.kind != IDENT:
+            raise self.error(expected)
+        word = self.value
+        if word in EXPR_WORDS:
+            message = f"{word!r} is a reserved word and cannot be used as a name"
+        elif not word.isascii():
+            message = f"{word!r} is not a valid name: use ASCII letters, digits and '_'"
+        else:
+            self.advance()
+            return word
+        raise GodpError("SyntaxError", message, self.span(self.pos), self.file)
+
     def parse_name(self) -> StructuredName:
         if self.kind == OWL_THING:
             self.advance()
             return THING
-        if self.kind != IDENT:
-            raise self.error("a name")
-        base = self.value
-        if base in EXPR_WORDS:
-            raise GodpError(
-                "SyntaxError",
-                f"{base!r} is a reserved word and cannot be used as a name",
-                self.span(self.pos),
-                self.file,
-            )
-        # The lexer's words are identifiers of Unicode letters and digits;
-        # a name's base must be ASCII (see names.StructuredName).
-        if not base.isascii():
-            raise GodpError(
-                "SyntaxError",
-                f"{base!r} is not a valid name: use ASCII letters, digits and '_'",
-                self.span(self.pos),
-                self.file,
-            )
-        self.advance()
+        base = self.parse_word("a name")
         if self.kind != LBRACKET:
             plain = self.plain_names.get(base)
             if plain is None:
@@ -280,8 +278,8 @@ class _Parser:
         if kind == UNSUPPORTED_KW:
             raise self.unsupported()
         if kind == IDENT:
-            name = self.value
-            t = self.advance()
+            t = self.pos
+            name = self.parse_word("an ontology name")
             args: list[Arg] = []
             while self.kind == LBRACKET:
                 args.append(self.parse_arg())
@@ -351,14 +349,14 @@ class _Parser:
     def parse_item(self):
         if self.at(KEYWORD, "ontology"):
             t = self.advance()
-            name = self.values[self.expect(IDENT, expected="an ontology name")]
+            name = self.parse_word("an ontology name")
             self.expect(EQUALS, expected="'='")
             body = self.parse_expr()
             self.expect(KEYWORD, "end")
             return OntologyDef(name, body, self.span(t))
         if self.at(KEYWORD, "pattern"):
             t = self.advance()
-            name = self.values[self.expect(IDENT, expected="a pattern name")]
+            name = self.parse_word("a pattern name")
             params = []
             while self.kind == LBRACKET:
                 params.append(self.parse_param())
@@ -370,7 +368,7 @@ class _Parser:
 
     def parse_library(self) -> Library:
         t = self.expect(KEYWORD, "library", expected="'library'")
-        name = self.values[self.expect(IDENT, expected="a library name")]
+        name = self.parse_word("a library name")
         items = []
         while self.kind != EOF:
             items.append(self.parse_item())

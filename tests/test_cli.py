@@ -307,26 +307,28 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
     @pytest.mark.parametrize(
-        "source, structured",
+        "source, structured, line",
         [
             # written in the text
-            ("ontology O = Class: A[owl:Thing] end", "A[owl:Thing]"),
+            ("ontology O = Class: A[owl:Thing] end", "A[owl:Thing]", 2),
             # substituted for a parameter inside a bracketed name
             (
                 "pattern P [Class: X] = Class: rel[X] SubClassOf: X end\n"
                 "ontology O = P [Class: owl:Thing] end",
                 "rel[owl:Thing]",
+                3,
             ),
         ],
     )
-    def test_constituent_owl_thing_is_unstratified(self, capsys, tmp_path, json_flag, source, structured):
+    def test_constituent_owl_thing_is_unstratified(self, capsys, tmp_path, json_flag, source, structured, line):
         path = write(tmp_path, f"library L\n{source}\nontology Q = Class: B end\n")
         message = f"structured name {structured} cannot be stratified: owl:Thing cannot be a constituent"
+        # The error is located at the target ontology.
         expected = (
-            json.dumps({"code": "UnstratifiedName", "col": None, "file": path, "line": None,
+            json.dumps({"code": "UnstratifiedName", "col": 1, "file": path, "line": line,
                         "message": message, "severity": "error"}, sort_keys=True)
             if json_flag
-            else f"{path}: error: UnstratifiedName: {message}"
+            else f"{path}:{line}:1: error: UnstratifiedName: {message}"
         )
         for command in (["flatten", path, "--target", "O"], ["check", path]):
             code, out, err = run_cli([*command, *json_flag], capsys)
@@ -335,6 +337,83 @@ class TestErrorPaths:
         code, out, err = run_cli(["flatten", path, "--target", "O", "--keep-structured-names"], capsys)
         assert (code, err) == (0, "")
         assert f"Class: {structured}\n" in out
+
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    def test_stratification_collision_located_at_target(self, capsys, tmp_path, json_flag):
+        path = write(
+            tmp_path,
+            "library L\nontology Fine = Class: A end\n"
+            "ontology Clash =\n  Class: A[B_C]\n  Class: A[B][C]\nend\n",
+        )
+        message = "A[B_C] and A[B][C] both stratify to 'A_B_C'"
+        expected = (
+            json.dumps({"code": "StratificationCollision", "col": 1, "file": path, "line": 3,
+                        "message": message, "severity": "error"}, sort_keys=True)
+            if json_flag
+            else f"{path}:3:1: error: StratificationCollision: {message}"
+        )
+        for command in (["flatten", path, "--target", "Clash"], ["check", path]):
+            code, out, err = run_cli([*command, *json_flag], capsys)
+            assert (code, out, err) == (2, "", expected + "\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    def test_owl_thing_substituted_for_a_base(self, capsys, tmp_path, json_flag):
+        path = write(
+            tmp_path,
+            "library L\npattern P [Class: X] = Class: X[A] end\nontology O = P [Class: owl:Thing] end\n",
+        )
+        message = "owl:Thing cannot replace X in X[A]: it takes no constituents"
+        note = "while expanding instantiation of 'P'"
+        expected = (
+            json.dumps({"code": "KindMismatch", "col": None, "file": path, "line": None,
+                        "message": message, "notes": [note], "severity": "error"}, sort_keys=True)
+            if json_flag
+            else f"{path}: error: KindMismatch: {message}\n{path}:3:14: note: {note}"
+        )
+        for command in (
+            ["check", path],
+            ["flatten", path, "--target", "O"],
+            ["flatten", path, "--target", "O", "--keep-structured-names"],
+            ["obligations", path, "--target", "O"],
+        ):
+            code, out, err = run_cli([*command, *json_flag], capsys)
+            assert (code, out, err) == (2, "", expected + "\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize(
+        "source, bad, line, col",
+        [
+            # definitions
+            ("library café\nontology O = Class: A end", "café", 1, 9),
+            ("library L\nontology café = Class: A end", "café", 2, 10),
+            ("library L\nontology some = Class: A end", "some", 2, 10),
+            ("library L\npattern Größe [Class: X] = Class: X end", "Größe", 2, 9),
+            ("library L\npattern or [Class: X] = Class: X end", "or", 2, 9),
+            # references, bare and instantiated
+            ("library L\nontology O = Class: A end\nontology Q = O and café end", "café", 3, 20),
+            ("library L\nontology O = Class: A end\nontology Q = only end", "only", 3, 14),
+            ("library L\nontology Q = Pé [Class: A] end", "Pé", 2, 14),
+            # an ontology argument: the rule it already followed
+            ("library L\nontology Q = P [café] end", "café", 2, 17),
+        ],
+    )
+    def test_item_names_follow_the_name_rule(self, capsys, tmp_path, json_flag, source, bad, line, col):
+        path = write(tmp_path, source + "\n")
+        message = (
+            f"{bad!r} is a reserved word and cannot be used as a name"
+            if bad.isascii()
+            else f"{bad!r} is not a valid name: use ASCII letters, digits and '_'"
+        )
+        expected = (
+            json.dumps({"code": "SyntaxError", "col": col, "file": path, "line": line,
+                        "message": message, "severity": "error"}, sort_keys=True)
+            if json_flag
+            else f"{path}:{line}:{col}: error: SyntaxError: {message}"
+        )
+        for command in (["check", path], ["list", path]):
+            code, out, err = run_cli([*command, *json_flag], capsys)
+            assert (code, out, err) == (1, "", expected + "\n")
 
 
 class TestInternalError:
@@ -435,6 +514,38 @@ class TestObligations:
         assert code == 0
         assert "1 proof obligation(s)" in err
         assert "obligation" not in out
+
+
+class TestOptionsPerCommand:
+    # The options each command reads; every other option is a usage error.
+    READS = {
+        "flatten": ["--output", "--keep-structured-names", "--json-diagnostics"],
+        "check": ["--json-diagnostics"],
+        "list": ["--json-diagnostics"],
+        "obligations": ["--output", "--json-diagnostics"],
+    }
+    ALL = ["--output", "--keep-structured-names", "--json-diagnostics"]
+
+    @staticmethod
+    def _argv(command, option, fixtures_dir, tmp_path):
+        argv = [command, str(fixtures_dir / "role.gdol")]
+        if command in ("flatten", "obligations"):
+            argv += ["--target", "ProfRoleOntology"]
+        return argv + ([option, str(tmp_path / "out.txt")] if option == "--output" else [option])
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_accepts_what_it_reads(self, capsys, tmp_path, fixtures_dir, command):
+        for option in self.READS[command]:
+            code, _, err = run_cli(self._argv(command, option, fixtures_dir, tmp_path), capsys)
+            assert code == 0, (option, err)
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_rejects_what_it_ignores(self, capsys, tmp_path, fixtures_dir, command):
+        for option in [o for o in self.ALL if o not in self.READS[command]]:
+            code, out, err = run_cli(self._argv(command, option, fixtures_dir, tmp_path), capsys)
+            assert (code, out) == (2, "")
+            assert f"godp: error: unrecognized arguments: {option}" in err
+        assert not (tmp_path / "out.txt").exists()
 
 
 class TestDeterminismAcrossProcesses:
