@@ -159,7 +159,8 @@ def cmd_obligations(args: argparse.Namespace, session: _Session) -> int:
 _OPTIONS = {
     "--target": dict(required=True, help="ontology to process"),
     "--output": dict(help="output file (defaults to standard output)"),
-    "--keep-structured-names": dict(action="store_true", help="skip stratification; render bracketed names literally"),
+    "--keep-structured-names":
+        dict(action="store_true", help="skip stratification; render bracketed names literally"),
     "--json-diagnostics": dict(action="store_true", help="emit diagnostics as JSON objects, one per line"),
 }
 
