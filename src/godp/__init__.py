@@ -31,7 +31,7 @@ from .expansion import (
 from .frames import Frame, desugar_frames
 from .names import StructuredName, stratify_name
 from .ontology import FlatOntology, Signature
-from .parser import format_library, parse_frames, parse_library
+from .parser import parse_frames, parse_library
 from .report import render_report
 from .resolver import ResolvedLibrary, detect_cycles, resolve
 
@@ -58,7 +58,6 @@ __all__ = [
     "detect_cycles",
     "emit_manchester",
     "expand",
-    "format_library",
     "mentions",
     "normalize_axiom",
     "parse_frames",

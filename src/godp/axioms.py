@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from .diagnostics import GodpError
+from .diagnostics import GodpError, Span
 from .names import THING_BASE, StructuredName, substitute_name
 
 
@@ -339,14 +339,6 @@ def _render(role, value) -> str:
     return render_expr(value) if role is EXPR else value.render()
 
 
-def render_item(keyword: str, item) -> str:
-    """One item of a ``keyword`` section as source text."""
-    roles = SECTION_ITEM_ROLES[keyword]
-    if not roles:
-        return item
-    return " ".join(map(_render, roles, (item,) if len(roles) == 1 else item))
-
-
 def _section_text(ax: AtomicAxiom, values: tuple, at: int) -> str | None:
     """The section text of ``ax`` written in the frame of field ``at``: the
     constant payload, or the other fields in order; None for a Declaration."""
@@ -367,11 +359,12 @@ def render_axiom(ax: AtomicAxiom) -> str:
     return head if text is None else f"{head} {ax.keyword}: {text}"
 
 
-def frame_entry(ax: AtomicAxiom) -> tuple[StructuredName, str | None, str | None]:
+def frame_entry(ax: AtomicAxiom, span: Span | None = None) -> tuple[StructuredName, str | None, str | None]:
     """Where the emitter writes ``ax``: frame subject, section keyword and
     section text (keyword and text None for a Declaration, a frame header). A
     class-expression subject must be a named class other than owl:Thing; a
-    commutative axiom takes it from either side, the first side first."""
+    commutative axiom takes it from either side, the first side first. An
+    axiom without one is an error at ``span``."""
     values = type(ax)._values(ax)
     at = ax.subject_at
     subject = values[at]
@@ -386,6 +379,7 @@ def frame_entry(ax: AtomicAxiom) -> tuple[StructuredName, str | None, str | None
             raise GodpError(
                 "UnsupportedConstruct",
                 "axiom has no named subject to attach a frame to: " + type(ax).__name__,
+                span,
             )
     return subject, ax.keyword, _section_text(ax, values, at)
 

@@ -89,9 +89,10 @@ def cmd_flatten(args: argparse.Namespace, session: _Session) -> int:
     try:
         result = expand(resolved, args.target, args.input)
         ontology = result.ontology
+        span = resolved.table[args.target].span
         if not args.keep_structured_names:
-            ontology = stratify_ontology(ontology, resolved.table[args.target].span)
-        text = emit_manchester(ontology, allow_structured=args.keep_structured_names)
+            ontology = stratify_ontology(ontology, span)
+        text = emit_manchester(ontology, args.keep_structured_names, span)
     except GodpError as exc:
         return session.fail(exc.with_file(args.input))
     session.emit_all(result.warnings)

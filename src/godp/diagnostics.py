@@ -30,18 +30,6 @@ class Span:
         return f"{self.line}:{self.col}"
 
 
-# Frontend: malformed input or unresolvable names. CLI exit code 1.
-FRONTEND_CODES = frozenset(
-    {
-        "SyntaxError",
-        "UnsupportedConstruct",
-        "DuplicateName",
-        "UnresolvedReference",
-        "ForwardReference",
-        "NotAPattern",
-    }
-)
-
 # Semantic: the library parses and resolves but is ill-typed or cannot be
 # flattened/stratified. CLI exit code 2.
 SEMANTIC_CODES = frozenset(
@@ -60,7 +48,6 @@ SEMANTIC_CODES = frozenset(
         "UnstratifiedName",
         "OptionalParameterInRequirement",
         "UnknownTarget",
-        "Usage",
     }
 )
 
@@ -78,6 +65,9 @@ EXIT_INTERNAL = 4
 
 
 def exit_code_for(code: str) -> int:
+    """The CLI exit code of a diagnostic code. A code listed in none of the
+    sets above is a frontend error (syntax or name binding: SyntaxError,
+    DuplicateName, UnresolvedReference, ...) and exits 1."""
     if code in SEMANTIC_CODES:
         return EXIT_SEMANTIC
     if code in IO_CODES:

@@ -9,7 +9,7 @@ their section, so equal inputs produce byte-identical output.
 from __future__ import annotations
 
 from .axioms import SECTION_KEYWORDS, EntityKind, frame_entry
-from .diagnostics import GodpError
+from .diagnostics import GodpError, Span
 from .names import StructuredName
 from .ontology import FlatOntology
 
@@ -23,7 +23,9 @@ _KIND_ORDER = {
 _SECTION_ORDER = {keyword: i for i, keyword in enumerate(SECTION_KEYWORDS)}
 
 
-def emit_manchester(o: FlatOntology, allow_structured: bool = False) -> str:
+def emit_manchester(o: FlatOntology, allow_structured: bool = False, span: Span | None = None) -> str:
+    """``o`` as Manchester frames; a diagnostic points at ``span``, the
+    emitted ontology's definition."""
     if not allow_structured:
         # The signature holds each name of the axioms once, in the order the
         # axioms first mention it: its first bracketed name is theirs.
@@ -32,12 +34,13 @@ def emit_manchester(o: FlatOntology, allow_structured: bool = False) -> str:
                 raise GodpError(
                     "UnstratifiedName",
                     f"structured name {n} survives in the output; stratify first",
+                    span,
                 )
 
     # frame subject -> (kind, list of (section keyword, section text))
     frames: dict[StructuredName, tuple[EntityKind, list[tuple[str, str]]]] = {}
     for ax in o.axioms:
-        subject, keyword, text = frame_entry(ax)
+        subject, keyword, text = frame_entry(ax, span)
         entry = frames.get(subject)
         if entry is None:
             entry = frames[subject] = (ax.frame_kind, [])

@@ -271,6 +271,7 @@ class Expander:
         self.resolved = resolved
         self.file = file
         self._memo: dict[str, tuple[FlatOntology, tuple[Obligation, ...]]] = {}
+        # The resolver cannot see a cycle through an ontology argument made by substitution.
         self._in_progress: set[str] = set()
         # id of a Basic node -> its axioms. The nodes belong to the resolved
         # library, which this expander keeps alive, so no id is reused.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import SECTIONS, AtomicAxiom, Declaration, EntityKind, render_item
+from .axioms import SECTIONS, AtomicAxiom, Declaration, EntityKind
 from .diagnostics import GodpError, Span
 from .names import StructuredName
 
@@ -54,11 +54,3 @@ def _unsupported(kw: str, frame: Frame, section: Section) -> GodpError:
         section.span or frame.span,
     )
 
-
-def render_frame(frame: Frame, indent: str = "  ") -> list[str]:
-    """Frame as .gdol/.omn source lines, one section per line."""
-    lines = [f"{frame.kind}: {frame.subject}"]
-    for section in frame.sections:
-        payload = ", ".join(render_item(section.keyword, item) for item in section.items)
-        lines.append(f"{indent}{section.keyword}: {payload}")
-    return lines

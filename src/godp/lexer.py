@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Iterator
-from typing import NamedTuple
 
 from . import axioms
 from .diagnostics import GodpError, Span
@@ -81,22 +79,6 @@ _PUNCT = {
 }
 
 
-class Token(NamedTuple):
-    """One token: its kind, its text and where it starts and ends, as a
-    ``TokenStream`` gives it by index."""
-
-    kind: str
-    value: str
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col, self.end_line, self.end_col)
-
-
 # Keyword tokens end one column after their text, at the colon.
 _COLON_KINDS = frozenset({FRAME_KW, SECTION_KW, UNSUPPORTED_KW})
 
@@ -105,8 +87,7 @@ class TokenStream:
     """The tokens of one text as parallel lists: ``kinds``, ``values`` and
     ``starts`` (the offset of each token's first character), plus
     ``line_starts``, the offset of each line's first character. A token's
-    ``Span`` is built only when asked for. Indexing and iterating give
-    ``Token`` values."""
+    ``Span`` is built only when asked for."""
 
     __slots__ = ("kinds", "values", "starts", "line_starts")
 
@@ -125,13 +106,6 @@ class TokenStream:
         line = bisect_right(self.line_starts, start)
         col = start - self.line_starts[line - 1] + 1
         return Span(line, col, line, col + len(self.values[i]) + (self.kinds[i] in _COLON_KINDS))
-
-    def __getitem__(self, i: int) -> Token:
-        s = self.span(i)
-        return Token(self.kinds[i], self.values[i], s.line, s.col, s.end_line, s.end_col)
-
-    def __iter__(self) -> Iterator[Token]:
-        return map(self.__getitem__, range(len(self.kinds)))
 
 
 _WORD_TAIL = re.compile(r"\w*")

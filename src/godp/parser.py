@@ -25,7 +25,7 @@ from .axioms import (
     SomeValuesFrom,
 )
 from .diagnostics import GodpError
-from .frames import Frame, Section, render_frame
+from .frames import Frame, Section
 from .lexer import (
     COMMA,
     EOF,
@@ -393,71 +393,3 @@ def parse_frames(text: str, file: str | None = None) -> tuple[Frame, ...]:
     """Parse a bare Manchester frame document (as produced by the emitter)."""
     return _Parser(text, file).parse_frames_until(EOF, "a frame")
 
-
-# ---------------------------------------------------------------------------
-# Pretty printer (parse -> print -> parse is structurally stable)
-# ---------------------------------------------------------------------------
-
-
-def format_library(lib: Library) -> str:
-    chunks = [f"library {lib.name}"]
-    for item in lib.items:
-        if isinstance(item, OntologyDef):
-            chunks.append(f"ontology {item.name} =\n{_format_expr(item.body, '  ')}\nend")
-        else:
-            params = " ".join(_format_param(p) for p in item.params)
-            head = f"pattern {item.name} {params}".rstrip()
-            chunks.append(f"{head} =\n{_format_expr(item.body, '  ')}\nend")
-    return "\n\n".join(chunks) + "\n"
-
-
-def _format_param(p: Param) -> str:
-    q = " ?" if p.optional else ""
-    if isinstance(p, SymbolParam):
-        return f"[{p.kind}: {p.name}{q}]"
-    body = "\n".join("  " + line for f in p.frames for line in render_frame(f, "  "))
-    return "[ontology {\n" + body + "\n}" + q + "]"
-
-
-def _format_expr(e: OntologyExpr, indent: str) -> str:
-    if isinstance(e, Basic):
-        return "\n".join(
-            indent + line for frame in e.frames for line in render_frame(frame, "  ")
-        )
-    if isinstance(e, Ref):
-        return indent + e.name
-    if isinstance(e, Instantiate):
-        return indent + e.pattern + " " + "".join(_format_arg(a) for a in e.args)
-    if isinstance(e, Then):
-        # A nested Then part would be spliced into this chain when re-parsed.
-        return f"\n{indent}then\n".join(
-            indent + "(\n" + _format_expr(p, indent) + "\n" + indent + ")"
-            if isinstance(p, Then)
-            else _format_expr(p, indent)
-            for p in e.parts
-        )
-    if isinstance(e, AndExpr):
-        return f"\n{indent}and\n".join(_paren_operand(p, indent) for p in e.parts)
-    raise TypeError(f"unknown expression {e!r}")  # pragma: no cover
-
-
-def _paren_operand(e: OntologyExpr, indent: str) -> str:
-    # A Basic to the left of 'and' would be re-parsed greedily; a Then part
-    # would change precedence, and a nested AndExpr part would be spliced
-    # into its parent chain. Parenthesize all three.
-    if isinstance(e, (Basic, Then, AndExpr)):
-        return indent + "(\n" + _format_expr(e, indent + "  ") + "\n" + indent + ")"
-    return _format_expr(e, indent)
-
-
-def _format_arg(a: Arg) -> str:
-    if isinstance(a, OmittedArg):
-        return "[]"
-    if isinstance(a, SymbolArg):
-        if a.kind is None:
-            return f"[{a.name}]"
-        return f"[{a.kind}: {a.name}]"
-    if a.fit:
-        pairs = ", ".join(f"{s} |-> {t}" for s, t in a.fit)
-        return f"[{a.name} fit {pairs}]"
-    return f"[{a.name}]"

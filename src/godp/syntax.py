@@ -3,14 +3,12 @@
 Every node carries a span: the span of its first token, except for the
 operator nodes ``Then`` and ``AndExpr``, whose ``span`` is that of their first
 operator token and whose ``ops`` hold the span of every operator token.
-Structural equality for the parse/print stability check goes through
-:func:`fingerprint`, which drops spans.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 from .axioms import EntityKind
@@ -141,17 +139,3 @@ def leaves(expr: OntologyExpr) -> Iterator[OntologyExpr]:
         else:
             yield e
 
-
-def fingerprint(node):
-    """Nested-tuple view of an AST (or axiom/frame) with all spans removed."""
-    if isinstance(node, (Span, type(None), str, int, bool, EntityKind)):
-        return None if isinstance(node, Span) else node
-    if isinstance(node, StructuredName):
-        return node.render()
-    if isinstance(node, tuple):
-        return tuple(fingerprint(x) for x in node)
-    if hasattr(node, "__dataclass_fields__"):
-        return (type(node).__name__,) + tuple(
-            fingerprint(getattr(node, f.name)) for f in fields(node) if f.name != "span"
-        )
-    return node

@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import godp.ontology
 from godp.cli import main
+from godp.parser import parse_library
+from godp.syntax import OntologyDef
 
 def run_cli(argv, capsys):
     try:
@@ -358,6 +362,52 @@ class TestErrorPaths:
             assert (code, out, err) == (2, "", expected + "\n")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    def test_no_named_subject_located_at_target(self, capsys, tmp_path, json_flag):
+        path = write(tmp_path, "library L\nontology O =\n  Class: owl:Thing SubClassOf: A\nend\n")
+        message = "axiom has no named subject to attach a frame to: SubClassOf"
+        expected = (
+            json.dumps({"code": "UnsupportedConstruct", "col": 1, "file": path, "line": 2,
+                        "message": message, "severity": "error"}, sort_keys=True)
+            if json_flag
+            else f"{path}:2:1: error: UnsupportedConstruct: {message}"
+        )
+        flatten = ["flatten", path, "--target", "O"]
+        for command in (flatten, [*flatten, "--keep-structured-names"]):
+            code, out, err = run_cli([*command, *json_flag], capsys)
+            assert (code, out, err) == (1, "", expected + "\n")
+
+    # The resolver binds the X of `Q [X]` to the ontology X; only the
+    # expander sees the parameter X substituted there, so only it can report
+    # a cycle or an unknown name through that argument.
+    SUBSTITUTED_ARGUMENT = (
+        "library L\nontology X = Class: A end\npattern Q [ontology {Class: A}] = Class: B end\n"
+        "pattern P [Class: X] = Q [X] end\nontology O = P [Class: {}] end\n"
+    )
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize(
+        "argument, code, message, exit_code",
+        [
+            ("O", "CyclicReference", "cyclic reference through 'O'", 2),
+            ("Foo", "UnresolvedReference", "unknown reference 'Foo'", 1),
+        ],
+    )
+    def test_expander_guards_substituted_ontology_argument(
+        self, capsys, tmp_path, json_flag, argument, code, message, exit_code
+    ):
+        path = write(tmp_path, self.SUBSTITUTED_ARGUMENT.replace("{}", argument))
+        notes = ["while expanding instantiation of 'Q'", "while expanding instantiation of 'P'"]
+        expected = (
+            json.dumps({"code": code, "col": 26, "file": path, "line": 4, "message": message,
+                        "notes": notes, "severity": "error"}, sort_keys=True)
+            if json_flag
+            else f"{path}:4:26: error: {code}: {message}\n"
+            f"{path}:4:24: note: {notes[0]}\n{path}:5:14: note: {notes[1]}"
+        )
+        for command in (["check", path], ["flatten", path, "--target", "O"]):
+            assert run_cli([*command, *json_flag], capsys) == (exit_code, "", expected + "\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
     def test_owl_thing_substituted_for_a_base(self, capsys, tmp_path, json_flag):
         path = write(
             tmp_path,
@@ -563,6 +613,23 @@ class TestDeterminismAcrossProcesses:
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout  # non-empty
 
+    def test_independent_of_hash_seed(self, fixtures_dir):
+        # One interpreter per seed: str hashes, and so the iteration order of
+        # a set of strings, differ between processes, not within one.
+        for path in sorted(fixtures_dir.glob("*.gdol")):
+            library = parse_library(path.read_text(encoding="utf-8"))
+            for target in (item.name for item in library.items if isinstance(item, OntologyDef)):
+                runs = []
+                for seed in ("0", "1"):
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "godp", "flatten", str(path), "--target", target],
+                        capture_output=True,
+                        env={**os.environ, "PYTHONHASHSEED": seed},
+                    )
+                    assert (proc.stdout or proc.stderr) and b"Traceback" not in proc.stderr
+                    runs.append((proc.returncode, proc.stdout, proc.stderr))
+                assert runs[0] == runs[1], (path.name, target)
+
     def test_installed_entry_point(self, fixtures_dir):
         exe = shutil.which("godp")
         if exe is None:
@@ -571,6 +638,18 @@ class TestDeterminismAcrossProcesses:
             [exe, "list", str(fixtures_dir / "driving.gdol")], capture_output=True, check=True
         )
         assert proc.stdout.decode().startswith("library Driving")
+
+
+class TestLibraryApi:
+    def test_readme_example_prints_what_flatten_prints(self, capsys, fixtures_dir):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Library API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        role = fixtures_dir / "role.gdol"
+        exec(example, {"text": role.read_text(encoding="utf-8")})
+        printed = capsys.readouterr().out
+        code, out, _ = run_cli(["flatten", str(role), "--target", "ProfRoleOntology"], capsys)
+        assert code == 0 and out
+        assert printed == out
 
 
 REL_PATTERN = """pattern Rel [ObjectProperty: p] [Class: D] [Class: R] =

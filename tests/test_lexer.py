@@ -135,7 +135,11 @@ def actual(text: str):
     except GodpError as exc:
         s = exc.span
         return (exc.code, exc.message, s.line, s.col, s.end_line, s.end_col)
-    return [(t.kind, t.value, t.span.line, t.span.col, t.span.end_line, t.span.end_col) for t in tokens]
+    spans = map(tokens.span, range(len(tokens)))
+    return [
+        (kind, value, s.line, s.col, s.end_line, s.end_col)
+        for kind, value, s in zip(tokens.kinds, tokens.values, spans, strict=True)
+    ]
 
 
 def test_word_tail_is_isalnum_or_underscore():
