@@ -339,11 +339,12 @@ def _render(role, value) -> str:
     return render_expr(value) if role is EXPR else value.render()
 
 
-def _section_text(ax: AtomicAxiom, values: tuple, at: int) -> str | None:
+def section_text(ax: AtomicAxiom, at: int) -> str | None:
     """The section text of ``ax`` written in the frame of field ``at``: the
     constant payload, or the other fields in order; None for a Declaration."""
     if ax.keyword is None or ax.payload is not None:
         return ax.payload
+    values = type(ax)._values(ax)
     parts = []  # _render inlined: this runs once per emitted axiom
     for i, role in ax._text[at]:
         parts.append(render_expr(values[i]) if role is EXPR else values[i].render())
@@ -355,33 +356,28 @@ def render_axiom(ax: AtomicAxiom) -> str:
     values = type(ax)._values(ax)
     at = ax.subject_at
     head = f"{ax.frame_kind}: {_render(ax.roles[at], values[at])}"
-    text = _section_text(ax, values, at)
+    text = section_text(ax, at)
     return head if text is None else f"{head} {ax.keyword}: {text}"
 
 
-def frame_entry(ax: AtomicAxiom, span: Span | None = None) -> tuple[StructuredName, str | None, str | None]:
-    """Where the emitter writes ``ax``: frame subject, section keyword and
-    section text (keyword and text None for a Declaration, a frame header). A
-    class-expression subject must be a named class other than owl:Thing; a
-    commutative axiom takes it from either side, the first side first. An
-    axiom without one is an error at ``span``."""
+def frame_subject(ax: AtomicAxiom, span: Span | None = None) -> tuple[StructuredName, int]:
+    """The subject of the frame the emitter writes ``ax`` in, and the index
+    of the field it is in. A class-expression subject must be a named class
+    other than owl:Thing; a commutative axiom takes it from either side, the
+    first side first. An axiom without one is an error at ``span``."""
     values = type(ax)._values(ax)
     at = ax.subject_at
-    subject = values[at]
-    if ax.roles[at] is EXPR:
-        sides = (0, 1) if ax.commutative else (at,)
-        for at in sides:
-            subject = values[at]
-            if isinstance(subject, Named) and not subject.is_thing:
-                subject = subject.name
-                break
-        else:
-            raise GodpError(
-                "UnsupportedConstruct",
-                "axiom has no named subject to attach a frame to: " + type(ax).__name__,
-                span,
-            )
-    return subject, ax.keyword, _section_text(ax, values, at)
+    if ax.roles[at] is not EXPR:
+        return values[at], at
+    for at in (0, 1) if ax.commutative else (at,):
+        subject = values[at]
+        if isinstance(subject, Named) and not subject.is_thing:
+            return subject.name, at
+    raise GodpError(
+        "UnsupportedConstruct",
+        "axiom has no named subject to attach a frame to: " + type(ax).__name__,
+        span,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .axioms import frame_subject
 from .diagnostics import EXIT_IO, EXIT_OK, Diagnostic, GodpError, exit_code_for
 from .emitter import emit_manchester
 from .expansion import expand, stratify_ontology
@@ -107,9 +108,11 @@ def cmd_check(args: argparse.Namespace, session: _Session) -> int:
         return resolved
     worst = EXIT_OK
     for name in resolved.ontology_names():
+        span = resolved.table[name].span
         try:
             result = expand(resolved, name, args.input)
-            stratify_ontology(result.ontology, resolved.table[name].span)
+            for ax in stratify_ontology(result.ontology, span).axioms:
+                frame_subject(ax, span)
         except GodpError as exc:
             worst = max(worst, session.fail(exc.with_file(args.input)))
             continue
@@ -138,7 +141,7 @@ def _signature_text(item: PatternDef) -> str:
         if isinstance(param, SymbolParam):
             groups.append(f"[{param.kind} {param.name}{q}]")
         else:
-            symbols = " ".join(str(f.subject) for f in param.frames)
+            symbols = " ".join(str(n) for n, _ in param.symbols)
             groups.append(f"[ontology {symbols}{q}]".replace(" ?", "?"))
     return "".join(groups)
 

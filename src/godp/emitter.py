@@ -8,7 +8,7 @@ their section, so equal inputs produce byte-identical output.
 
 from __future__ import annotations
 
-from .axioms import SECTION_KEYWORDS, EntityKind, frame_entry
+from .axioms import SECTION_KEYWORDS, EntityKind, frame_subject, section_text
 from .diagnostics import GodpError, Span
 from .names import StructuredName
 from .ontology import FlatOntology
@@ -40,12 +40,12 @@ def emit_manchester(o: FlatOntology, allow_structured: bool = False, span: Span 
     # frame subject -> (kind, list of (section keyword, section text))
     frames: dict[StructuredName, tuple[EntityKind, list[tuple[str, str]]]] = {}
     for ax in o.axioms:
-        subject, keyword, text = frame_entry(ax, span)
+        subject, at = frame_subject(ax, span)
         entry = frames.get(subject)
         if entry is None:
             entry = frames[subject] = (ax.frame_kind, [])
-        if keyword is not None:
-            entry[1].append((keyword, text))
+        if ax.keyword is not None:  # a Declaration is a frame header only
+            entry[1].append((ax.keyword, section_text(ax, at)))
 
     if not frames:
         return ""

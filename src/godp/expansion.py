@@ -102,13 +102,6 @@ def apply_substitution(
     return [substitute_axiom(ax, mapping) for ax in axioms]
 
 
-def _param_signature(param: OntologyParam) -> tuple[list[tuple[StructuredName, EntityKind]], list[AtomicAxiom]]:
-    axioms = desugar_frames(param.frames)
-    sig = [(ax.name, ax.kind) for ax in axioms if isinstance(ax, Declaration)]
-    requirement = [ax for ax in axioms if not isinstance(ax, Declaration)]
-    return sig, requirement
-
-
 def conformance_check(
     param: OntologyParam,
     arg: OntologyArg,
@@ -121,8 +114,7 @@ def conformance_check(
     """Map every parameter-signature symbol into the argument ontology and
     return the translated requirement axioms as one proof obligation
     (entailment is never checked here)."""
-    sig, requirement = _param_signature(param)
-    sig_names = {n for n, _ in sig}
+    sig_names = {n for n, _ in param.symbols}
     explicit = dict(arg.fit)
     for source in explicit:
         if source not in sig_names:
@@ -132,7 +124,7 @@ def conformance_check(
                 span,
             )
     full_fit: dict[StructuredName, StructuredName] = {}
-    for n, kind in sig:
+    for n, kind in param.symbols:
         target = explicit.get(n, n)
         entry = arg_flat.signature.get(target)
         if entry is None or not entry.declared:
@@ -159,6 +151,7 @@ def conformance_check(
         full_fit[n] = target
 
     obligations: list[Obligation] = []
+    requirement = [ax for ax in desugar_frames(param.frames) if not isinstance(ax, Declaration)]
     if requirement:
         translated = tuple(substitute_axiom(ax, full_fit) for ax in requirement)
         fit_pairs = tuple(sorted(full_fit.items(), key=lambda p: p[0].render()))
@@ -175,7 +168,7 @@ def check_instantiation(
 ) -> tuple[Substitution, list[Obligation]]:
     """Check each argument against its parameter and build the substitution.
 
-    ``flatten`` resolves an ontology name to its FlatOntology; it is only
+    ``flatten`` maps an ontology name to its FlatOntology; it is only
     needed when the pattern has ontology-valued parameters.
     """
     if len(args) != len(pattern.params):
@@ -229,8 +222,7 @@ def check_instantiation(
                         f"argument {position} of {pattern.name} is mandatory",
                         arg.span or span,
                     )
-                sig, _ = _param_signature(param)
-                omitted.update(n for n, _ in sig)
+                omitted.update(n for n, _ in param.symbols)
                 continue
             if isinstance(arg, SymbolArg):
                 if arg.kind is not None or not arg.name.is_plain:
@@ -246,7 +238,7 @@ def check_instantiation(
                     f"cannot flatten ontology argument {arg.name!r} outside a library",
                     arg.span or span,
                 )
-            arg_flat = flatten(arg.name, arg.span or span)
+            arg_flat = flatten(arg.name)
             fit, obs = conformance_check(
                 param, arg, arg_flat, pattern=pattern.name, position=position, span=arg.span or span
             )
@@ -263,41 +255,23 @@ def check_instantiation(
 
 
 class Expander:
-    """Expands ontologies over one immutable resolved library; named-ontology
-    results are memoized and each Basic node is desugared once, while
-    instantiations are re-expanded per site."""
+    """Expands ontologies over one immutable resolved library without errors;
+    named-ontology results are memoized and each Basic node is desugared
+    once, while instantiations are re-expanded per site."""
 
     def __init__(self, resolved: ResolvedLibrary, file: str | None = None):
         self.resolved = resolved
         self.file = file
         self._memo: dict[str, tuple[FlatOntology, tuple[Obligation, ...]]] = {}
-        # The resolver cannot see a cycle through an ontology argument made by substitution.
-        self._in_progress: set[str] = set()
         # id of a Basic node -> its axioms. The nodes belong to the resolved
         # library, which this expander keeps alive, so no id is reused.
         self._desugared: dict[int, tuple[AtomicAxiom, ...]] = {}
 
-    def expand_item(self, name: str, span: Span | None = None) -> tuple[FlatOntology, tuple[Obligation, ...]]:
+    def expand_item(self, name: str) -> tuple[FlatOntology, tuple[Obligation, ...]]:
         if name in self._memo:
             return self._memo[name]
-        item = self.resolved.table.get(name)
-        if item is None:
-            raise GodpError("UnresolvedReference", f"unknown reference {name!r}", span, self.file)
-        if isinstance(item, PatternDef):
-            raise GodpError(
-                "UnresolvedReference",
-                f"{name!r} is a pattern where an ontology is required",
-                span,
-                self.file,
-            )
-        if name in self._in_progress:
-            raise GodpError("CyclicReference", f"cyclic reference through {name!r}", span, self.file)
-        self._in_progress.add(name)
-        try:
-            obligations: list[Obligation] = []
-            onto = self._eval(item.body, obligations)
-        finally:
-            self._in_progress.discard(name)
+        obligations: list[Obligation] = []
+        onto = self._eval(self.resolved.table[name].body, obligations)
         self._memo[name] = (onto, tuple(obligations))
         return self._memo[name]
 
@@ -312,7 +286,7 @@ class Expander:
                 axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)
             return FlatOntology.from_axioms(axioms, expr.span)
         if isinstance(expr, Ref):
-            onto, obs = self.expand_item(expr.name, expr.span)
+            onto, obs = self.expand_item(expr.name)
             obligations.extend(obs)
             return onto
         if isinstance(expr, (Then, AndExpr)):
@@ -328,14 +302,10 @@ class Expander:
             args = expr.args if subst is None else _substitute_args(expr.args, subst)
             if args is None:
                 return FlatOntology.from_axioms((), expr.span)
-            pattern = self.resolved.table.get(expr.pattern)
-            if not isinstance(pattern, PatternDef):
-                raise GodpError(
-                    "NotAPattern", f"{expr.pattern!r} is not a pattern", expr.span, self.file
-                )
+            pattern = self.resolved.table[expr.pattern]
             try:
                 site_subst, obs = check_instantiation(
-                    pattern, args, flatten=self._flatten_argument, span=expr.span
+                    pattern, args, flatten=lambda name: self.expand_item(name)[0], span=expr.span
                 )
                 obligations.extend(obs)
                 for leaf in leaves(pattern.body):
@@ -352,10 +322,6 @@ class Expander:
                 )
                 raise exc.with_note(note) from None
         raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
-
-    def _flatten_argument(self, name: str, span: Span | None) -> FlatOntology:
-        onto, _ = self.expand_item(name, span)
-        return onto
 
     def _desugar(self, basic: Basic) -> tuple[AtomicAxiom, ...]:
         """The axioms of a Basic node, desugared at its first use only."""
@@ -390,6 +356,10 @@ def _substitute_args(args: tuple, subst: Substitution) -> tuple | None:
 
 
 def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> ExpansionResult:
+    """Flatten ``target``; raises the first error of ``resolved`` if it has one."""
+    if resolved.errors:
+        first = resolved.errors[0]
+        raise GodpError(first.code, first.message, first.span, first.file)
     item = resolved.table.get(target)
     if item is None:
         raise GodpError("UnknownTarget", f"no ontology named {target!r} in the library", file=file)

@@ -1,7 +1,9 @@
 """Name binding, arity checking, definition-order checks, and cycle detection.
 
-Names bind against the whole library table so that cycle detection can run
-even in the presence of forward references; a forward reference is still an
+The only binder, so ``references`` is the whole item graph; a pattern's
+parameters are in scope in its body, and never denote an ontology. Names
+bind against the whole library table so that cycle detection can run even
+in the presence of forward references; a forward reference is still an
 error in its own right (definitions may only refer to earlier items or, for
 patterns, to themselves — self-reference then surfaces as a cycle).
 """
@@ -53,7 +55,7 @@ def pattern_param_names(item: PatternDef) -> set[StructuredName]:
         if isinstance(param, SymbolParam):
             names.add(param.name)
         else:
-            names.update(frame.subject for frame in param.frames)
+            names.update(n for n, _ in param.symbols)
     return names
 
 
@@ -78,6 +80,7 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
             continue  # duplicate definition, already reported
         refs: list[str] = []
         references[item.name] = refs
+        in_scope = pattern_param_names(item) if isinstance(item, PatternDef) else ()
 
         def bind(name: str, span: Span):
             """The item ``name`` refers to, recorded as a reference; None,
@@ -120,19 +123,27 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                         report("ArityMismatch", _arity_message(target, len(leaf.args)), leaf.span)
                 elif target is not None:
                     report("NotAPattern", f"{leaf.pattern!r} is an ontology, not a pattern", leaf.span)
-                for position, arg in enumerate(leaf.args):
+                for position, arg in enumerate(leaf.args, start=1):
                     if isinstance(arg, OntologyArg):
                         check_ontology_arg(arg.name, arg.span)
                     elif (
-                        position < len(params)
-                        and isinstance(params[position], OntologyParam)
+                        position <= len(params)
+                        and isinstance(params[position - 1], OntologyParam)
                         and not isinstance(arg, OmittedArg)
                         and arg.kind is None
                         and arg.name.is_plain
                     ):
                         # Bare name in an ontology-parameter position: an
-                        # ontology reference, not a symbol.
-                        check_ontology_arg(arg.name.base, arg.span)
+                        # ontology reference, not a symbol, nor a parameter.
+                        if arg.name in in_scope:
+                            report(
+                                "SymbolArgForOntologyParam",
+                                f"argument {position} of {leaf.pattern} must name an ontology,"
+                                f" not the parameter {arg.name} of {item.name}",
+                                arg.span,
+                            )
+                        else:
+                            check_ontology_arg(arg.name.base, arg.span)
 
         if isinstance(item, PatternDef):
             _check_pattern(item, report)
@@ -170,18 +181,18 @@ def _check_pattern(item: PatternDef, report) -> None:
 
     for param in item.params:
         if isinstance(param, SymbolParam):
-            introduced: list[tuple[StructuredName, EntityKind]] = [(param.name, param.kind)]
-            requirement = []
+            introduced: tuple[tuple[StructuredName, EntityKind], ...] = ((param.name, param.kind),)
         else:
             try:
                 axioms = desugar_frames(param.frames)
             except GodpError as exc:
                 report(exc.code, exc.message, exc.span or param.span)
                 continue
-            introduced = [(ax.name, ax.kind) for ax in axioms if isinstance(ax, Declaration)]
-            requirement = [ax for ax in axioms if not isinstance(ax, Declaration)]
+            introduced = param.symbols
             declared = {n for n, _ in introduced}
-            for ax in requirement:
+            for ax in axioms:
+                if isinstance(ax, Declaration):
+                    continue
                 for n in mentions(ax):
                     if n.base != THING_BASE and n not in declared and n.is_plain:
                         report(

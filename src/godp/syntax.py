@@ -31,6 +31,11 @@ class OntologyParam:
     optional: bool
     span: Span
 
+    @property
+    def symbols(self) -> tuple[tuple[StructuredName, EntityKind], ...]:
+        """The parameter's signature: each frame's subject and kind."""
+        return tuple((frame.subject, frame.kind) for frame in self.frames)
+
 
 Param = Union[SymbolParam, OntologyParam]
 

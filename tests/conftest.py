@@ -10,6 +10,13 @@ from godp.resolver import ResolvedLibrary
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# A pattern body that passes its own parameter X where Q takes an ontology;
+# "{}" is P's argument at the one site.
+SUBSTITUTED_ARGUMENT = (
+    "library L\nontology X = Class: A end\npattern Q [ontology {Class: A}] = Class: B end\n"
+    "pattern P [Class: X] = Q [X] end\nontology O = P [Class: {}] end\n"
+)
+
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")

@@ -12,6 +12,8 @@ from godp.cli import main
 from godp.parser import parse_library
 from godp.syntax import OntologyDef
 
+from tests.conftest import SUBSTITUTED_ARGUMENT
+
 def run_cli(argv, capsys):
     try:
         code = main(argv)
@@ -372,40 +374,65 @@ class TestErrorPaths:
             else f"{path}:2:1: error: UnsupportedConstruct: {message}"
         )
         flatten = ["flatten", path, "--target", "O"]
-        for command in (flatten, [*flatten, "--keep-structured-names"]):
+        # check makes the same subject check as flatten, without emitting.
+        for command in (flatten, [*flatten, "--keep-structured-names"], ["check", path]):
             code, out, err = run_cli([*command, *json_flag], capsys)
             assert (code, out, err) == (1, "", expected + "\n")
 
-    # The resolver binds the X of `Q [X]` to the ontology X; only the
-    # expander sees the parameter X substituted there, so only it can report
-    # a cycle or an unknown name through that argument.
-    SUBSTITUTED_ARGUMENT = (
-        "library L\nontology X = Class: A end\npattern Q [ontology {Class: A}] = Class: B end\n"
-        "pattern P [Class: X] = Q [X] end\nontology O = P [Class: {}] end\n"
-    )
+    # P's parameter X is in scope in P's body, and a parameter never denotes
+    # an ontology, so `Q [X]` is an error of the resolver: X is neither the
+    # ontology X nor, at expansion, P's argument. Every command that
+    # resolves reports it, whichever target it expands.
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize("argument", ["O", "Foo"])
+    def test_parameter_as_ontology_argument_is_resolver_error(self, capsys, tmp_path, json_flag, argument):
+        path = write(tmp_path, SUBSTITUTED_ARGUMENT.replace("{}", argument))
+        message = "argument 1 of Q must name an ontology, not the parameter X of P"
+        expected = (
+            json.dumps({"code": "SymbolArgForOntologyParam", "col": 26, "file": path, "line": 4,
+                        "message": message, "severity": "error"}, sort_keys=True)
+            if json_flag
+            else f"{path}:4:26: error: SymbolArgForOntologyParam: {message}"
+        )
+        for command in (["check", path], ["flatten", path, "--target", "O"], ["flatten", path, "--target", "X"]):
+            assert run_cli([*command, *json_flag], capsys) == (2, "", expected + "\n")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
-    @pytest.mark.parametrize(
-        "argument, code, message, exit_code",
-        [
-            ("O", "CyclicReference", "cyclic reference through 'O'", 2),
-            ("Foo", "UnresolvedReference", "unknown reference 'Foo'", 1),
-        ],
-    )
-    def test_expander_guards_substituted_ontology_argument(
-        self, capsys, tmp_path, json_flag, argument, code, message, exit_code
-    ):
-        path = write(tmp_path, self.SUBSTITUTED_ARGUMENT.replace("{}", argument))
-        notes = ["while expanding instantiation of 'Q'", "while expanding instantiation of 'P'"]
-        expected = (
-            json.dumps({"code": code, "col": 26, "file": path, "line": 4, "message": message,
-                        "notes": notes, "severity": "error"}, sort_keys=True)
-            if json_flag
-            else f"{path}:4:26: error: {code}: {message}\n"
-            f"{path}:4:24: note: {notes[0]}\n{path}:5:14: note: {notes[1]}"
+    def test_ontology_parameter_symbol_as_ontology_argument(self, capsys, tmp_path, json_flag):
+        # D is a symbol of P's ontology parameter, so a parameter of P too.
+        path = write(
+            tmp_path,
+            "library L\npattern Q [ontology {Class: A}] = Class: B end\n"
+            "pattern P [Class: Y] [ontology {Class: D}] = Q [D] end\nontology U = Class: Z end\n",
         )
-        for command in (["check", path], ["flatten", path, "--target", "O"]):
-            assert run_cli([*command, *json_flag], capsys) == (exit_code, "", expected + "\n")
+        message = "argument 1 of Q must name an ontology, not the parameter D of P"
+        expected = (
+            json.dumps({"code": "SymbolArgForOntologyParam", "col": 48, "file": path, "line": 3,
+                        "message": message, "severity": "error"}, sort_keys=True)
+            if json_flag
+            else f"{path}:3:48: error: SymbolArgForOntologyParam: {message}"
+        )
+        for command in (["check", path], ["flatten", path, "--target", "U"]):
+            assert run_cli([*command, *json_flag], capsys) == (2, "", expected + "\n")
+
+    def test_bare_library_ontology_argument_in_pattern_body(self, capsys, tmp_path):
+        # X is no parameter of P: the bare X in P's body names the ontology X.
+        path = write(
+            tmp_path,
+            "library L\nontology X = Class: A Class: C SubClassOf: A end\n"
+            "pattern Q [ontology {Class: A Class: C SubClassOf: A}] = Class: B end\n"
+            "pattern P [Class: Y] = Q [X] and Class: Y end\nontology O = P [Class: E] end\n",
+        )
+        assert run_cli(["check", path], capsys) == (0, "", "")
+        assert run_cli(["flatten", path, "--target", "O"], capsys) == (
+            0, "Class: B\n\nClass: E\n", f"{path}: 1 proof obligation(s)\n"
+        )
+        code, out, err = run_cli(["obligations", path, "--target", "O"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "obligation-count: 1\n\nobligation: 1\npattern: Q\nargument-position: 1\n"
+            f"site: {path}:4:26\ntarget: X\nfit: A |-> A\nfit: C |-> C\naxiom: Class: C SubClassOf: A\n"
+        )
 
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
     def test_owl_thing_substituted_for_a_base(self, capsys, tmp_path, json_flag):

@@ -708,3 +708,21 @@ class TestBodyEvaluation:
             ObjectPropertyDomain(r("B"), c("B")),
             ObjectPropertyDomain(name("q"), c("B")),
         )
+
+
+class TestResolvedErrors:
+    def test_expand_raises_first_resolver_error(self):
+        # The expander looks up only names the resolver bound, so it expands
+        # nothing of a library the resolver rejected.
+        text = (
+            "library L pattern Q [ontology {Class: A}] = Class: B end "
+            "pattern P [Class: X] = Q [X] end "
+            "ontology O = Missing and P [Class: C] end"
+        )
+        resolved = resolve(parse_library(text, "lib.gdol"), "lib.gdol")
+        first = resolved.errors[0]
+        assert [d.code for d in resolved.errors] == ["SymbolArgForOntologyParam", "UnresolvedReference"]
+        for target in ("O", "Nowhere"):
+            with pytest.raises(GodpError) as exc:
+                expand(resolved, target)
+            assert (exc.value.code, exc.value.message, exc.value.span) == (first.code, first.message, first.span)
