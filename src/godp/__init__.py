@@ -30,7 +30,7 @@ from .expansion import (
 )
 from .frames import Frame, desugar_frames
 from .names import StructuredName, stratify_name
-from .ontology import FlatOntology, Signature
+from .ontology import FlatOntology
 from .parser import parse_frames, parse_library
 from .report import render_report
 from .resolver import ResolvedLibrary, detect_cycles, resolve
@@ -46,7 +46,6 @@ __all__ = [
     "GodpError",
     "Obligation",
     "ResolvedLibrary",
-    "Signature",
     "Span",
     "StructuredName",
     "Substitution",

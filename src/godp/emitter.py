@@ -29,7 +29,7 @@ def emit_manchester(o: FlatOntology, allow_structured: bool = False, span: Span 
     if not allow_structured:
         # The signature holds each name of the axioms once, in the order the
         # axioms first mention it: its first bracketed name is theirs.
-        for n, _ in o.signature:
+        for n in o.signature:
             if n.groups:
                 raise GodpError(
                     "UnstratifiedName",

@@ -259,9 +259,8 @@ class Expander:
     named-ontology results are memoized and each Basic node is desugared
     once, while instantiations are re-expanded per site."""
 
-    def __init__(self, resolved: ResolvedLibrary, file: str | None = None):
+    def __init__(self, resolved: ResolvedLibrary):
         self.resolved = resolved
-        self.file = file
         self._memo: dict[str, tuple[FlatOntology, tuple[Obligation, ...]]] = {}
         # id of a Basic node -> its axioms. The nodes belong to the resolved
         # library, which this expander keeps alive, so no id is reused.
@@ -313,13 +312,7 @@ class Expander:
                         self._desugar(leaf)
                 return self._eval(pattern.body, obligations, site_subst)
             except GodpError as exc:
-                note = Diagnostic(
-                    "note",
-                    exc.code,
-                    f"while expanding instantiation of {expr.pattern!r}",
-                    expr.span,
-                    self.file,
-                )
+                note = Diagnostic("note", exc.code, f"while expanding instantiation of {expr.pattern!r}", expr.span)
                 raise exc.with_note(note) from None
         raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
 
@@ -367,8 +360,10 @@ def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> E
         raise GodpError(
             "UnknownTarget", f"{target!r} is a pattern; flattening targets an ontology", item.span, file
         )
-    expander = Expander(resolved, file)
-    onto, obligations = expander.expand_item(target)
+    try:
+        onto, obligations = Expander(resolved).expand_item(target)
+    except GodpError as exc:
+        raise exc.with_file(file) from None
     # Referencing one named ontology from several places replays its memoized
     # obligations; keep each site's obligation once.
     obligations = tuple(dict.fromkeys(obligations))
@@ -376,11 +371,12 @@ def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> E
         Diagnostic(
             "warning",
             "UndeclaredName",
-            f"{n} is referenced but never declared (inferred kind {kind})",
+            f"{n} is referenced but never declared (inferred kind {entry.kind})",
             item.span,
             file,
         )
-        for n, kind in onto.signature.undeclared()
+        for n, entry in onto.signature.items()
+        if not entry.declared
     ]
     return ExpansionResult(onto, list(obligations), warnings)
 
@@ -394,12 +390,12 @@ def stratify_ontology(o: FlatOntology, span: Span | None = None) -> FlatOntology
     as it is, since no ontology changes once built. ``o``'s signature must
     be the one its axioms imply, as it is for every ontology the expander
     builds. ``span``, the target ontology's, locates the errors."""
-    stratified = {n: stratify_name(n) for n, _ in o.signature if n.groups}
+    stratified = {n: stratify_name(n) for n in o.signature if n.groups}
     if not stratified:
         return o
     idents = set(stratified.values())
     by_id: dict[str, list[tuple[StructuredName, object]]] = {}
-    for n, entry in o.signature:
+    for n, entry in o.signature.items():
         ident = stratified.get(n, n.base)
         if ident in idents:
             by_id.setdefault(ident, []).append((n, entry))

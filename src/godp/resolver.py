@@ -264,8 +264,11 @@ def pattern_free_symbols(resolved: ResolvedLibrary, item: PatternDef) -> set[Str
         if isinstance(leaf, Instantiate):
             for arg in leaf.args:
                 if isinstance(arg, OntologyArg):
+                    # A fit target must be declared by the argument ontology.
+                    bound = declared_symbols(resolved, arg.name)
                     for _, target in arg.fit:
-                        free.update(_plain_parts(target))
+                        if target not in bound:
+                            free.update(_plain_parts(target))
         elif isinstance(leaf, Basic):
             try:
                 axioms = desugar_frames(leaf.frames)

@@ -86,7 +86,7 @@ def test_criterion_4_stratification(role):
     )
 
     onto = stratify_ontology(expand(role, "ThematicRoles").ontology)
-    declared = {n.base for n, e in onto.signature if e.declared}
+    declared = {n.base for n, e in onto.signature.items() if e.declared}
     assert {
         "RolePerformedBySome_Agent",
         "RolePerformedBySome_Patient",

@@ -38,7 +38,7 @@ def multiset(onto: FlatOntology):
 
 class TestEmit:
     def test_empty_ontology(self):
-        assert emit_manchester(FlatOntology()) == ""
+        assert emit_manchester(FlatOntology.from_axioms(())) == ""
 
     def test_driving_golden(self, driving):
         onto = stratify_ontology(expand(driving, "drivePatternInstance").ontology)

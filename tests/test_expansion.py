@@ -93,7 +93,7 @@ class TestDriving:
 
     def test_person_referenced_not_declared(self, driving):
         result = expand(driving, "DrivingExtended")
-        undeclared = dict(result.ontology.signature.undeclared())
+        undeclared = {n: e.kind for n, e in result.ontology.signature.items() if not e.declared}
         assert undeclared == {name("Person"): CLS}
         assert len(result.warnings) == 1
 
@@ -502,7 +502,7 @@ class TestRoleExpansion:
 class TestStratification:
     def test_thematic_roles_have_three_distinct_classes(self, role):
         onto = stratify_ontology(expand(role, "ThematicRoles").ontology)
-        declared = {n.base for n, e in onto.signature if e.declared and e.kind is CLS}
+        declared = {n.base for n, e in onto.signature.items() if e.declared and e.kind is CLS}
         assert {
             "RolePerformedBySome_Agent",
             "RolePerformedBySome_Patient",
@@ -552,7 +552,7 @@ class TestStratification:
             "library L ontology O = Class: A[B] Class: X SubClassOf: A_B end"
         )
         onto = stratify_ontology(flatten_text(text, "O", stratify=False))
-        assert len([1 for n, _ in onto.signature if n == name("A_B")]) == 1
+        assert len([1 for n, _ in onto.signature.items() if n == name("A_B")]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +576,7 @@ class TestOtherParameterKinds:
             Declaration(EntityKind.INDIVIDUAL, name("bernd")),
         ]
         assert norm_set(expected) < onto.normalized_set()
-        kinds = dict(onto.signature)
+        kinds = onto.signature
         assert kinds[name("age")].kind is EntityKind.DATA_PROPERTY
         assert kinds[name("bernd")].kind is EntityKind.INDIVIDUAL
 
@@ -658,7 +658,7 @@ class TestDeterminism:
         a = expand(resolve(parse_library(text)), "ProfRoleOntology").ontology
         b = expand(resolve(parse_library(text)), "ProfRoleOntology").ontology
         assert a.axioms == b.axioms
-        assert list(a.signature) == list(b.signature)
+        assert list(a.signature.items()) == list(b.signature.items())
 
 
 class TestBodyEvaluation:
@@ -726,3 +726,26 @@ class TestResolvedErrors:
             with pytest.raises(GodpError) as exc:
                 expand(resolved, target)
             assert (exc.value.code, exc.value.message, exc.value.span) == (first.code, first.message, first.span)
+
+
+class TestLibraryApiFile:
+    @pytest.mark.parametrize(
+        "body, lines",
+        [
+            # raised in check_instantiation, under two notes
+            (
+                "pattern Q [ObjectProperty: p] = ObjectProperty: p end "
+                "pattern P [Class: X] = Q [X] end ontology O = P [Class: owl:Thing] end",
+                3,
+            ),
+            ("ontology O = Class: A and ObjectProperty: A end", 1),  # raised in union
+            ("ontology O = Class: A Domain: B end", 1),  # raised in desugaring
+        ],
+    )
+    def test_expand_errors_carry_the_file(self, body, lines):
+        resolved = resolve(parse_library(f"library L {body}", "lib.gdol"), "lib.gdol")
+        with pytest.raises(GodpError) as exc:
+            expand(resolved, "O", "lib.gdol")
+        printed = str(exc.value).split("\n")
+        assert len(printed) == lines
+        assert all(line.startswith("lib.gdol:1:") for line in printed)

@@ -43,7 +43,7 @@ from godp.emitter import emit_manchester
 from godp.expansion import Substitution, apply_substitution, prune_omitted, stratify_ontology
 from godp.frames import desugar_frames
 from godp.names import THING, THING_BASE, StructuredName, name, stratify_name, substitute_name
-from godp.ontology import FlatOntology, SigEntry, Signature, combine, union
+from godp.ontology import FlatOntology, SigEntry, combine, union
 from godp.parser import parse_frames
 
 SUITE = settings(
@@ -261,9 +261,9 @@ class TestCombineProperties:
 
 def reference_combine(left: FlatOntology, right: FlatOntology, span=None):
     """The original quadratic algorithm: re-normalize all of left, then scan
-    right in order; returns (signature entries, axioms)."""
+    right in order; returns (signature, axioms)."""
     entries = dict(left.signature)
-    for n, entry in right.signature:
+    for n, entry in right.signature.items():
         existing = entries.get(n)
         if existing is None:
             entries[n] = entry
@@ -279,7 +279,7 @@ def reference_combine(left: FlatOntology, right: FlatOntology, span=None):
         if key not in seen:
             seen.add(key)
             kept.append(ax)
-    return list(entries.items()), kept
+    return entries, kept
 
 
 SHARED_NAMES = st.sampled_from(CLASS_POOL + PROP_POOL + IND_POOL).map(name)
@@ -304,20 +304,25 @@ def combine_operands(draw):
 
     def side() -> FlatOntology:
         picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=8))
-        sig = Signature()
         entries = draw(st.dictionaries(SHARED_NAMES, st.tuples(kinds, st.booleans())))
-        for n, (kind, declared) in entries.items():
-            sig.add(n, kind if clashing else USUAL_KIND[n.base], declared)
-        return FlatOntology(sig, [_flip_axiom(ax) if flip else ax for ax, flip in picks])
+        signature = {
+            n: SigEntry(kind if clashing else USUAL_KIND[n.base], declared) for n, (kind, declared) in entries.items()
+        }
+        return _flat(signature, [_flip_axiom(ax) if flip else ax for ax, flip in picks])
 
     return side(), side()
 
 
+def _flat(signature, axioms) -> FlatOntology:
+    """An ontology with any signature: the axioms are keyed as from_axioms keys them."""
+    keyed = {}
+    for ax in axioms:
+        keyed.setdefault(normalize_axiom(ax), ax)
+    return FlatOntology(signature, keyed)
+
+
 def _signature_only(names, kind) -> FlatOntology:
-    sig = Signature()
-    for n in names:
-        sig.add(name(n), kind, True)
-    return FlatOntology(sig)
+    return _flat({name(n): SigEntry(kind, True) for n in names}, ())
 
 
 # Every name clashes, listed in opposite orders: the error must name right's
@@ -335,7 +340,7 @@ class TestCombineMatchesReference:
     def test_same_axioms_signature_and_error(self, operands):
         left, right = operands
         span = Span(3, 7)
-        before = [(list(o.signature), o.axioms) for o in operands]
+        before = [(list(o.signature.items()), o.axioms) for o in operands]
         try:
             expected = reference_combine(left, right, span)
         except GodpError as exc:
@@ -348,16 +353,16 @@ class TestCombineMatchesReference:
         else:
             assert not isinstance(expected, GodpError), expected.message
             entries, axioms = expected
-            assert list(out.signature) == entries
+            assert list(out.signature.items()) == list(entries.items())
             assert len(out.axioms) == len(axioms)
             assert all(a is b for a, b in zip(out.axioms, axioms))
-        assert [(list(o.signature), o.axioms) for o in operands] == before
+        assert [(list(o.signature.items()), o.axioms) for o in operands] == before
 
 
 class _Folded(NamedTuple):
     """A reference fold's intermediate result, in the shape reference_combine reads."""
 
-    signature: list
+    signature: dict
     axioms: list
 
 
@@ -372,7 +377,7 @@ def reference_union(parts, ops, extension: bool):
         acc = parts[0]
         for part, span in zip(parts[1:], ops):
             acc = _Folded(*reference_combine(acc, part, span))
-    return list(acc.signature), list(acc.axioms)
+    return acc.signature, list(acc.axioms)
 
 
 @st.composite
@@ -387,11 +392,11 @@ def union_operands(draw):
     def part() -> FlatOntology:
         picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=6))
         clashing = draw(st.booleans())
-        sig = Signature()
         entries = draw(st.dictionaries(SHARED_NAMES, st.tuples(kinds, st.booleans()), max_size=4))
-        for n, (kind, declared) in entries.items():
-            sig.add(n, kind if clashing else USUAL_KIND[n.base], declared)
-        return FlatOntology(sig, [_flip_axiom(ax) if flip else ax for ax, flip in picks])
+        signature = {
+            n: SigEntry(kind if clashing else USUAL_KIND[n.base], declared) for n, (kind, declared) in entries.items()
+        }
+        return _flat(signature, [_flip_axiom(ax) if flip else ax for ax, flip in picks])
 
     return [part() for _ in range(draw(st.integers(min_value=2, max_value=8)))]
 
@@ -416,7 +421,7 @@ class TestUnionMatchesReference:
     @example(list(MANY_CLASHES) * 2, True)
     def test_same_axioms_signature_error_and_draws(self, parts, extension):
         ops = [Span(1, 10 * i + 1) for i in range(len(parts) - 1)]
-        before = [(list(o.signature), o.axioms) for o in parts]
+        before = [(list(o.signature.items()), o.axioms) for o in parts]
         drawn = []
 
         def lazily():
@@ -439,11 +444,11 @@ class TestUnionMatchesReference:
         else:
             assert not isinstance(expected, GodpError), expected.message
             entries, axioms = expected
-            assert list(out.signature) == entries
+            assert list(out.signature.items()) == list(entries.items())
             assert len(out.axioms) == len(axioms)
             assert all(a is b for a, b in zip(out.axioms, axioms))
             assert drawn == list(range(len(parts)))
-        assert [(list(o.signature), o.axioms) for o in parts] == before
+        assert [(list(o.signature.items()), o.axioms) for o in parts] == before
 
 
 class TestEmissionProperties:
@@ -487,7 +492,7 @@ def reference_stratify(o: FlatOntology) -> FlatOntology:
     with a constituent owl:Thing has no identifier: the first one in the
     signature is an UnstratifiedName error."""
     by_id: dict[str, list] = {}
-    for n, entry in o.signature:
+    for n, entry in o.signature.items():
         by_id.setdefault(stratify_name(n), []).append((n, entry))
     for ident, sources in sorted(by_id.items()):
         if len(sources) < 2:
@@ -497,7 +502,7 @@ def reference_stratify(o: FlatOntology) -> FlatOntology:
         if len(kinds) > 1 or len(declared) > 1:
             a, b = sources[0][0], sources[1][0]
             raise GodpError("StratificationCollision", f"{a} and {b} both stratify to {ident!r}")
-    for n, _ in o.signature:
+    for n in o.signature:
         if n.groups and THING_BASE in stratify_name(n):
             raise GodpError(
                 "UnstratifiedName", f"structured name {n} cannot be stratified: owl:Thing cannot be a constituent"
@@ -589,7 +594,7 @@ class TestStratifyMatchesReference:
 
     @staticmethod
     def _check(o):
-        before = (list(o.signature), o.axioms)
+        before = (list(o.signature.items()), o.axioms)
         try:
             expected = reference_stratify(o)
         except (GodpError, ValueError) as exc:
@@ -605,8 +610,8 @@ class TestStratifyMatchesReference:
             assert not isinstance(expected, Exception), str(expected)
             assert list(out.axioms) == list(expected.axioms)
             assert out.normalized_set() == expected.normalized_set()
-            assert list(out.signature) == list(expected.signature)
-            if all(n.is_plain for n, _ in o.signature):
+            assert list(out.signature.items()) == list(expected.signature.items())
+            if all(n.is_plain for n in o.signature):
                 assert out is o
             # Each output axiom comes from the first axiom of o with its
             # stratified normal form; one without a bracketed name is kept
@@ -617,4 +622,4 @@ class TestStratifyMatchesReference:
                 sources.setdefault(normalize_axiom(renamed), ax)
             for ax, source in zip(out.axioms, sources.values()):
                 assert (ax is source) == all(n.is_plain for n, _ in referenced_kinds(source))
-        assert (list(o.signature), o.axioms) == before
+        assert (list(o.signature.items()), o.axioms) == before

@@ -2,7 +2,8 @@ import gc
 
 import pytest
 
-from godp.diagnostics import Span
+from godp.diagnostics import GodpError, Span
+from godp.expansion import expand
 from godp.parser import parse_library
 from godp.resolver import detect_cycles, resolve
 from godp.syntax import AndExpr, Ref, leaves
@@ -104,6 +105,24 @@ class TestFreeSymbols:
                 "pattern P [Class: X] = Base then Class: X SubClassOf: Anchor end")
         resolved = resolve(parse_library(text))
         assert resolved.diagnostics == []
+
+    FIT_LIBRARY = (
+        "library L\nontology O = Class: b Class: c end\npattern Q [ontology {{Class: a}}] = Class: Z end\n"
+        "pattern P [Class: X] = Q [O fit a |-> {target}] end\nontology T = P [Class: K] end\n"
+    )
+
+    def test_fit_target_declared_by_argument_is_bound(self):
+        resolved = resolve(parse_library(self.FIT_LIBRARY.format(target="b")))
+        assert resolved.diagnostics == []
+        assert expand(resolved, "T").warnings == []
+
+    def test_undeclared_fit_target_still_warns(self):
+        resolved = resolve(parse_library(self.FIT_LIBRARY.format(target="q")))
+        assert [(d.code, d.span.line) for d in resolved.diagnostics] == [("UnboundSymbol", 4)]
+        assert "pattern 'P' mentions q," in resolved.diagnostics[0].message
+        with pytest.raises(GodpError) as exc:
+            expand(resolved, "T")
+        assert exc.value.code == "FitTargetUndeclared"
 
     def test_declared_symbols_helper(self):
         from godp.names import name
