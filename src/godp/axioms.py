@@ -10,11 +10,10 @@ and makes equality a structural check on normal forms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
-from operator import attrgetter
 
 from .diagnostics import GodpError, Span
 from .names import THING_BASE, StructuredName, substitute_name
+from .record import record
 
 
 class EntityKind(enum.Enum):
@@ -61,7 +60,7 @@ class ClassExpr:
     commutative = False
 
 
-@dataclass(frozen=True)
+@record
 class Named(ClassExpr):
     name: StructuredName
     roles = (EntityKind.CLASS,)
@@ -72,7 +71,7 @@ class Named(ClassExpr):
         return self.name.base == THING_BASE
 
 
-@dataclass(frozen=True)
+@record
 class SomeValuesFrom(ClassExpr):
     prop: StructuredName
     filler: ClassExpr
@@ -80,7 +79,7 @@ class SomeValuesFrom(ClassExpr):
     template = "{} some {}"
 
 
-@dataclass(frozen=True)
+@record
 class AllValuesFrom(ClassExpr):
     prop: StructuredName
     filler: ClassExpr
@@ -88,7 +87,7 @@ class AllValuesFrom(ClassExpr):
     template = "{} only {}"
 
 
-@dataclass(frozen=True)
+@record
 class Cardinality(ClassExpr):
     prop: StructuredName
     bound: str  # "min" | "max" | "exactly"
@@ -104,14 +103,14 @@ class Cardinality(ClassExpr):
             raise ValueError("cardinality must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class Not(ClassExpr):
     operand: ClassExpr
     roles = (EXPR,)
     template = "not {}"
 
 
-@dataclass(frozen=True)
+@record
 class And(ClassExpr):
     operands: tuple[ClassExpr, ...]
     roles = (EXPRS,)
@@ -122,7 +121,7 @@ class And(ClassExpr):
             raise ValueError("conjunction needs at least 2 operands")
 
 
-@dataclass(frozen=True)
+@record
 class Or(ClassExpr):
     operands: tuple[ClassExpr, ...]
     roles = (EXPRS,)
@@ -160,7 +159,7 @@ SECTION_KEYWORDS = (
 
 class AtomicAxiom:
     """Base of the atomic axiom types. Each type states its schema in class
-    attributes next to its fields (they are not dataclass fields), and every
+    attributes next to its fields (they are not record fields), and every
     per-type operation below is derived from it:
 
     - ``roles``: per field, the EntityKind of the name in that position,
@@ -192,7 +191,7 @@ class AtomicAxiom:
         return cls(*values)
 
 
-@dataclass(frozen=True)
+@record
 class Declaration(AtomicAxiom):
     """A frame header: ``name`` is an entity of ``kind``."""
 
@@ -206,7 +205,7 @@ class Declaration(AtomicAxiom):
         return self.kind
 
 
-@dataclass(frozen=True)
+@record
 class SubClassOf(AtomicAxiom):
     sub: ClassExpr
     sup: ClassExpr
@@ -214,7 +213,7 @@ class SubClassOf(AtomicAxiom):
     frame_kind, keyword = EntityKind.CLASS, "SubClassOf"
 
 
-@dataclass(frozen=True)
+@record
 class EquivalentClasses(AtomicAxiom):
     a: ClassExpr
     b: ClassExpr
@@ -223,7 +222,7 @@ class EquivalentClasses(AtomicAxiom):
     commutative = True
 
 
-@dataclass(frozen=True)
+@record
 class DisjointClasses(AtomicAxiom):
     a: ClassExpr
     b: ClassExpr
@@ -232,7 +231,7 @@ class DisjointClasses(AtomicAxiom):
     commutative = True
 
 
-@dataclass(frozen=True)
+@record
 class ObjectPropertyDomain(AtomicAxiom):
     prop: StructuredName
     cls: ClassExpr
@@ -240,7 +239,7 @@ class ObjectPropertyDomain(AtomicAxiom):
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Domain"
 
 
-@dataclass(frozen=True)
+@record
 class ObjectPropertyRange(AtomicAxiom):
     prop: StructuredName
     cls: ClassExpr
@@ -248,7 +247,7 @@ class ObjectPropertyRange(AtomicAxiom):
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Range"
 
 
-@dataclass(frozen=True)
+@record
 class InverseProperties(AtomicAxiom):
     prop: StructuredName
     inverse: StructuredName
@@ -256,7 +255,7 @@ class InverseProperties(AtomicAxiom):
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "InverseOf"
 
 
-@dataclass(frozen=True)
+@record
 class FunctionalProperty(AtomicAxiom):
     prop: StructuredName
     roles = (EntityKind.OBJECT_PROPERTY,)
@@ -264,7 +263,7 @@ class FunctionalProperty(AtomicAxiom):
     payload = "Functional"
 
 
-@dataclass(frozen=True)
+@record
 class InverseFunctionalProperty(AtomicAxiom):
     prop: StructuredName
     roles = (EntityKind.OBJECT_PROPERTY,)
@@ -272,7 +271,7 @@ class InverseFunctionalProperty(AtomicAxiom):
     payload = "InverseFunctional"
 
 
-@dataclass(frozen=True)
+@record
 class SubPropertyOf(AtomicAxiom):
     sub: StructuredName
     sup: StructuredName
@@ -280,7 +279,7 @@ class SubPropertyOf(AtomicAxiom):
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "SubPropertyOf"
 
 
-@dataclass(frozen=True)
+@record
 class ClassAssertion(AtomicAxiom):
     cls: ClassExpr
     individual: StructuredName
@@ -289,7 +288,7 @@ class ClassAssertion(AtomicAxiom):
     subject_at = 1
 
 
-@dataclass(frozen=True)
+@record
 class PropertyAssertion(AtomicAxiom):
     prop: StructuredName
     subject: StructuredName
@@ -301,13 +300,10 @@ class PropertyAssertion(AtomicAxiom):
 
 def _derive(cls: type) -> None:
     """Precompute from the schema of an axiom or class-expression type what
-    the walks below read, so that their work per call stays flat: a getter
-    of the field values (by attribute, as ``vars()`` would give each node a
-    dict of its own), (index, role) of each name or class-expression field,
-    the indices of the class-expression fields, and per choice of subject
-    field the fields of the section text."""
-    get = attrgetter(*(f.name for f in fields(cls)))
-    cls._values = get if len(cls.roles) > 1 else lambda node: (get(node),)
+    the walks below read, besides the ``_values`` getter that ``record``
+    sets, so that their work per call stays flat: (index, role) of each name
+    or class-expression field, the indices of the class-expression fields,
+    and per choice of subject field the fields of the section text."""
     cls._positions = tuple((i, r) for i, r in enumerate(cls.roles) if r is not None)
     cls._exprs = tuple(i for i, r in cls._positions if r is EXPR or r is EXPRS)
     cls._text = [tuple(p for p in cls._positions if p[0] != at) for at in range(len(cls.roles))]

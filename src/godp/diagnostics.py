@@ -8,11 +8,10 @@ errors (kinds, arity, collisions), I/O failures, and internal errors.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Span:
     """Half-open region of source text; line and column are 1-based."""
 
@@ -77,14 +76,14 @@ def exit_code_for(code: str) -> int:
     return EXIT_FRONTEND
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     severity: str  # "error" | "warning" | "note"
     code: str
     message: str
     span: Span | None = None
     file: str | None = None
-    notes: tuple[Diagnostic, ...] = field(default=())
+    notes: tuple[Diagnostic, ...] = ()
 
     def format(self) -> str:
         """Render as ``file:line:col: severity: message`` (plus note lines)."""
@@ -98,6 +97,8 @@ class Diagnostic:
         return head
 
     def to_json(self) -> str:
+        import json  # only --json-diagnostics needs it: a plain run loads no json
+
         payload = {
             "file": self.file,
             "line": self.span.line if self.span else None,

@@ -16,7 +16,6 @@ Parameterized names are stratified in a separate final pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .axioms import (
@@ -32,6 +31,7 @@ from .names import THING_BASE, StructuredName, stratify_name, substitute_name
 # ``combine`` is no longer called here, but stays importable from this module
 # for the benchmark's tracer (bench/tracing.py), which wraps it here.
 from .ontology import FlatOntology, combine, union  # noqa: F401
+from .record import record
 from .resolver import ResolvedLibrary
 from .syntax import (
     AndExpr,
@@ -51,7 +51,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Substitution:
     """Parameter-to-argument map plus the set of omitted parameter names."""
 
@@ -62,7 +62,7 @@ class Substitution:
         return dict(self.mapping)
 
 
-@dataclass(frozen=True)
+@record
 class Obligation:
     pattern: str
     position: int  # 1-based argument position
@@ -72,11 +72,11 @@ class Obligation:
     axioms: tuple[AtomicAxiom, ...]
 
 
-@dataclass
 class ExpansionResult:
-    ontology: FlatOntology
-    obligations: list[Obligation] = field(default_factory=list)
-    warnings: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, ontology: FlatOntology, obligations: list[Obligation], warnings: list[Diagnostic]):
+        self.ontology = ontology
+        self.obligations = obligations
+        self.warnings = warnings
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,8 @@ class Expander:
         # id of a Basic node -> its axioms. The nodes belong to the resolved
         # library, which this expander keeps alive, so no id is reused.
         self._desugared: dict[int, tuple[AtomicAxiom, ...]] = {}
+        # Patterns whose body blocks are all desugared without an error.
+        self._desugared_patterns: set[str] = set()
 
     def expand_item(self, name: str) -> tuple[FlatOntology, tuple[Obligation, ...]]:
         if name in self._memo:
@@ -307,9 +309,11 @@ class Expander:
                     pattern, args, flatten=lambda name: self.expand_item(name)[0], span=expr.span
                 )
                 obligations.extend(obs)
-                for leaf in leaves(pattern.body):
-                    if isinstance(leaf, Basic):
-                        self._desugar(leaf)
+                if pattern.name not in self._desugared_patterns:
+                    for leaf in leaves(pattern.body):
+                        if isinstance(leaf, Basic):
+                            self._desugar(leaf)
+                    self._desugared_patterns.add(pattern.name)
                 return self._eval(pattern.body, obligations, site_subst)
             except GodpError as exc:
                 note = Diagnostic("note", exc.code, f"while expanding instantiation of {expr.pattern!r}", expr.span)

@@ -7,21 +7,20 @@ one element stays a single axiom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .axioms import SECTIONS, AtomicAxiom, Declaration, EntityKind
 from .diagnostics import GodpError, Span
 from .names import StructuredName
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Section:
     keyword: str
     items: tuple  # each shaped as axioms.SECTION_ITEM_ROLES[keyword] says
     span: Span | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Frame:
     kind: EntityKind
     subject: StructuredName

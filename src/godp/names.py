@@ -10,16 +10,16 @@ brackets are flattened away by :func:`stratify_name`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .diagnostics import GodpError
+from .record import record
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 THING_BASE = "owl:Thing"
 
 
-@dataclass(frozen=True)
+@record
 class StructuredName:
     base: str
     groups: tuple[tuple[StructuredName, ...], ...] = ()
@@ -29,6 +29,12 @@ class StructuredName:
             raise ValueError(f"invalid identifier: {self.base!r}")
         if self.base == THING_BASE and self.groups:
             raise ValueError("owl:Thing takes no constituents")
+        # Hashed once: names key every signature, substitution and closure.
+        # Not a field, so equality and repr do not see it.
+        object.__setattr__(self, "_hash", hash((self.base, self.groups)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_plain(self) -> bool:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .axioms import (
     AtomicAxiom,
@@ -15,9 +14,10 @@ from .axioms import (
 )
 from .diagnostics import GodpError, Span
 from .names import THING_BASE, StructuredName
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class SigEntry:
     kind: EntityKind
     declared: bool

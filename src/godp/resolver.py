@@ -10,8 +10,6 @@ patterns, to themselves — self-reference then surfaces as a cycle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .axioms import Declaration, EntityKind, axiom_names, mentions
 from .diagnostics import Diagnostic, GodpError, Span
 from .frames import desugar_frames
@@ -31,13 +29,13 @@ from .syntax import (
 )
 
 
-@dataclass
 class ResolvedLibrary:
-    library: Library
-    table: dict[str, object]  # item name -> OntologyDef | PatternDef
-    order: dict[str, int]  # item name -> definition index
-    references: dict[str, list[str]]  # item name -> referenced item names
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, library: Library, table: dict, order: dict, references: dict, diagnostics: list[Diagnostic]):
+        self.library = library
+        self.table: dict[str, object] = table  # item name -> OntologyDef | PatternDef
+        self.order: dict[str, int] = order  # item name -> definition index
+        self.references: dict[str, list[str]] = references  # item name -> referenced item names
+        self.diagnostics = diagnostics
 
     @property
     def errors(self) -> list[Diagnostic]:

@@ -8,16 +8,15 @@ operator token and whose ``ops`` hold the span of every operator token.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import Union
 
 from .axioms import EntityKind
 from .diagnostics import Span
 from .frames import Frame
 from .names import StructuredName
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class SymbolParam:
     kind: EntityKind
     name: StructuredName  # always plain
@@ -25,7 +24,7 @@ class SymbolParam:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class OntologyParam:
     frames: tuple[Frame, ...]
     optional: bool
@@ -37,42 +36,42 @@ class OntologyParam:
         return tuple((frame.subject, frame.kind) for frame in self.frames)
 
 
-Param = Union[SymbolParam, OntologyParam]
+Param = SymbolParam | OntologyParam
 
 
-@dataclass(frozen=True)
+@record
 class SymbolArg:
     kind: EntityKind | None  # None for bare arguments
     name: StructuredName
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class OntologyArg:
     name: str
     fit: tuple[tuple[StructuredName, StructuredName], ...]
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class OmittedArg:
     span: Span
 
 
-Arg = Union[SymbolArg, OntologyArg, OmittedArg]
+Arg = SymbolArg | OntologyArg | OmittedArg
 
 
 class OntologyExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Basic(OntologyExpr):
     frames: tuple[Frame, ...]
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class Then(OntologyExpr):
     """``parts[0] then parts[1] then ...``: right-associative extension.
     ``ops[i]`` is the span of the ``then`` between ``parts[i]`` and
@@ -84,7 +83,7 @@ class Then(OntologyExpr):
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class AndExpr(OntologyExpr):
     """``parts[0] and parts[1] and ...``: left-associative union, with
     ``parts``, ``ops`` and ``span`` as in :class:`Then`."""
@@ -94,27 +93,27 @@ class AndExpr(OntologyExpr):
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class Instantiate(OntologyExpr):
     pattern: str
     args: tuple[Arg, ...]
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class Ref(OntologyExpr):
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class OntologyDef:
     name: str
     body: OntologyExpr
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class PatternDef:
     name: str
     params: tuple[Param, ...]
@@ -122,10 +121,10 @@ class PatternDef:
     span: Span
 
 
-Item = Union[OntologyDef, PatternDef]
+Item = OntologyDef | PatternDef
 
 
-@dataclass(frozen=True)
+@record
 class Library:
     name: str
     items: tuple[Item, ...]

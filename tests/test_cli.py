@@ -682,6 +682,23 @@ class TestDeterminismAcrossProcesses:
         assert proc.stdout.decode().startswith("library Driving")
 
 
+class TestStartup:
+    def test_import_loads_no_heavy_modules(self):
+        # A fresh process pays for every module the CLI imports; these four
+        # cost more at start-up than the compiler's own modules.
+        src = Path(godp.ontology.__file__).resolve().parents[1]
+        heavy = ("dataclasses", "inspect", "json", "typing")
+        code = f"import sys, godp.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout == "[]\n"
+
+
 class TestLibraryApi:
     def test_readme_example_prints_what_flatten_prints(self, capsys, fixtures_dir):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -56,9 +55,9 @@ def collect_names(obj):
         for group in obj.groups:
             for constituent in group:
                 out |= collect_names(constituent)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for field in dataclasses.fields(obj):
-            out |= collect_names(getattr(obj, field.name))
+    elif hasattr(obj, "_fields") and not isinstance(obj, type):
+        for field in type(obj)._fields:
+            out |= collect_names(getattr(obj, field))
     elif isinstance(obj, (tuple, list, frozenset, set)):
         for element in obj:
             out |= collect_names(element)

@@ -1,6 +1,5 @@
 import re
 from collections import Counter
-from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -266,7 +265,7 @@ def kept_spans(node):
         n = stack.pop()
         if isinstance(n, tuple):
             stack.extend(n)
-        elif is_dataclass(n) and not isinstance(n, Span):
+        elif hasattr(n, "_fields") and not isinstance(n, Span):
             t = type(n)
             if t in OPERATORS:
                 out += [(t, op, KEYWORD, OPERATORS[t]) for op in n.ops]
@@ -277,7 +276,7 @@ def kept_spans(node):
                     value = {Ref: "name", Instantiate: "pattern", Section: "keyword"}.get(t)
                     value = getattr(n, value) if value else (n.frames[0] if t is Basic else n).kind.value
                 out.append((t, n.span, kind, value))
-            stack.extend(getattr(n, f.name) for f in fields(n) if f.name not in ("span", "ops"))
+            stack.extend(getattr(n, f) for f in t._fields if f not in ("span", "ops"))
     return out
 
 
