@@ -1,10 +1,10 @@
-"""Frozen value types, built without the ``dataclasses`` module.
+"""Frozen value types, cheap to define at import time.
 
-``record`` gives a class what ``@dataclass(frozen=True)`` gave it, for a
-fraction of the import time: one ``exec`` compiles its ``__init__``,
-``__eq__`` and ``__hash__``. The fields are the class's own annotations, in
-order, a class-level value is a field's default, and a method the class
-defines itself is kept. ``record`` also sets ``_fields``, the field names,
+``record`` gives a class a field-wise ``__init__``, ``__eq__``, ``__hash__``
+and ``repr``, and refuses assignment and deletion; one ``exec`` compiles
+its ``__init__``, ``__eq__`` and ``__hash__``. The fields are the class's
+own annotations, in order, a class-level value is a field's default, and a
+method the class defines itself is kept. ``record`` also sets ``_fields``, the field names,
 and ``_values``, a getter of the field tuple: call it through the class, as
 ``type(x)._values(x)``, since an instance binds a one-field class's getter.
 """
