@@ -22,6 +22,10 @@ class EntityKind(enum.Enum):
     DATA_PROPERTY = "DataProperty"
     INDIVIDUAL = "Individual"
 
+    # Members are singletons compared by identity: hash in C, not through
+    # Enum.__hash__, since every signature lookup hashes a kind.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -11,8 +11,8 @@ goes to standard output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from .axioms import frame_subject
 from .diagnostics import EXIT_IO, EXIT_OK, Diagnostic, GodpError, exit_code_for
@@ -47,7 +47,8 @@ class _Session:
 
 def _parse(path: str, session: _Session) -> Library | int:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         session.emit(Diagnostic("error", "IoError", f"cannot read {path}: {exc.strerror}", file=path))
         return EXIT_IO
@@ -76,7 +77,8 @@ def _write_output(text: str, output: str | None, session: _Session) -> int:
         sys.stdout.write(text)
         return EXIT_OK
     try:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
+        with open(output, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
     except OSError as exc:
         session.emit(Diagnostic("error", "IoError", f"cannot write {output}: {exc.strerror}", file=output))
         return EXIT_IO
@@ -201,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         tb = exc.__traceback__
         while tb.tb_next is not None:  # the innermost frame: where it was raised
             tb = tb.tb_next
-        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
         message = f"{type(exc).__name__} in {where}: {exc}"
         diag = Diagnostic("error", "InternalError", message, file=args.input)
         session.emit(diag)

@@ -256,8 +256,9 @@ def check_instantiation(
 
 class Expander:
     """Expands ontologies over one immutable resolved library without errors;
-    named-ontology results are memoized and each Basic node is desugared
-    once, while instantiations are re-expanded per site."""
+    named-ontology results are memoized, each Basic node is desugared once
+    and built into an ontology once per substitution, while every
+    instantiation site is still checked and its nested sites walked."""
 
     def __init__(self, resolved: ResolvedLibrary):
         self.resolved = resolved
@@ -265,6 +266,10 @@ class Expander:
         # id of a Basic node -> its axioms. The nodes belong to the resolved
         # library, which this expander keeps alive, so no id is reused.
         self._desugared: dict[int, tuple[AtomicAxiom, ...]] = {}
+        # (id of a Basic node, site substitution or None) -> its ontology,
+        # a pure function of the two. A block raises no obligation, and an
+        # error is not stored, so it is raised again at the next site.
+        self._blocks: dict[tuple[int, Substitution | None], FlatOntology] = {}
         # Patterns whose body blocks are all desugared without an error.
         self._desugared_patterns: set[str] = set()
 
@@ -282,10 +287,14 @@ class Expander:
         """Flatten ``expr``; in a pattern body, ``subst`` is the site's
         substitution, applied to each block and nested instantiation."""
         if isinstance(expr, Basic):
-            axioms = self._desugar(expr)
-            if subst is not None:
-                axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)
-            return FlatOntology.from_axioms(axioms, expr.span)
+            key = (id(expr), subst)
+            onto = self._blocks.get(key)
+            if onto is None:
+                axioms = self._desugar(expr)
+                if subst is not None:
+                    axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)
+                onto = self._blocks[key] = FlatOntology.from_axioms(axioms, expr.span)
+            return onto
         if isinstance(expr, Ref):
             onto, obs = self.expand_item(expr.name)
             obligations.extend(obs)

@@ -126,18 +126,26 @@ def union(
       the first clashing name of that suffix (names in order of first
       appearance), with ``ops[i]``.
 
-    The parts are merged into a fresh accumulator, so no operand changes;
-    memoized named ontologies are shared between expressions.
+    A part that is the same ontology as an earlier one adds nothing and
+    cannot clash, so it is skipped, and if every part is ``first``, the
+    result is ``first`` itself. Otherwise the parts are merged into a fresh
+    accumulator, so no operand changes; memoized named ontologies are
+    shared between expressions.
     """
     if extension:
         parts = list(parts)
         _check_extension(parts, ops)
     parts = iter(parts)
     first = next(parts)
-    signature = dict(first.signature)
-    keyed = dict(first._keyed)
-    merged = [first._keyed]
+    # The keyed dicts merged so far, by id: holding them keeps the ids unique.
+    merged = {id(first._keyed): first._keyed}
+    signature = None
     for span, part in zip(ops, parts):  # draws part i + 1 after ops[i]
+        if id(part._keyed) in merged:
+            continue
+        if signature is None:
+            signature = dict(first.signature)
+            keyed = dict(first._keyed)
         theirs = part.signature
         if signature.keys().isdisjoint(theirs):
             signature.update(theirs)
@@ -145,11 +153,13 @@ def union(
             for n, entry in theirs.items():
                 _add(signature, n, entry, span)
         keyed.update(part._keyed)  # C-level: reuses the stored hashes
-        merged.append(part._keyed)
-    if len(keyed) < sum(map(len, merged)):
+        merged[id(part._keyed)] = part._keyed
+    if signature is None:
+        return first
+    if len(keyed) < sum(map(len, merged.values())):
         # Some axioms are shared: update() kept each key's first place but
         # its last axiom. Re-applying the parts last to first restores the first.
-        for later in reversed(merged):
+        for later in reversed(merged.values()):
             keyed.update(later)
     return FlatOntology(signature, keyed)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -98,26 +99,19 @@ class TestFlatten:
         assert out == ""
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            ["flatten", str(tmp_path / "absent.gdol"), "--target", "X"], capsys
-        )
+        path = str(tmp_path / "absent.gdol")
+        code, _, err = run_cli(["flatten", path, "--target", "X"], capsys)
         assert code == 3
-        assert "IoError" in err
+        assert err == f"{path}: error: IoError: cannot read {path}: No such file or directory\n"
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path, fixtures_dir):
+        output = str(tmp_path / "missing" / "dir" / "out.omn")
         code, _, err = run_cli(
-            [
-                "flatten",
-                str(fixtures_dir / "driving.gdol"),
-                "--target",
-                "Driving",
-                "--output",
-                str(tmp_path / "missing" / "dir" / "out.omn"),
-            ],
+            ["flatten", str(fixtures_dir / "driving.gdol"), "--target", "Driving", "--output", output],
             capsys,
         )
         assert code == 3
-        assert "IoError" in err
+        assert err.endswith(f"{output}: error: IoError: cannot write {output}: No such file or directory\n")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
     def test_non_utf8_input_is_io_error(self, capsys, tmp_path, json_flag):
@@ -511,6 +505,8 @@ class TestInternalError:
             assert diag["message"].startswith("RecursionError in ")
         else:
             assert line.startswith(f"{path}: error: InternalError: RecursionError in ")
+        # The location is the innermost frame's file name and line, without its directory.
+        assert re.search(r"RecursionError in \w+\.py:\d+: ", line)
 
 
 class TestCheck:
@@ -684,10 +680,10 @@ class TestDeterminismAcrossProcesses:
 
 class TestStartup:
     def test_import_loads_no_heavy_modules(self):
-        # A fresh process pays for every module the CLI imports; these four
+        # A fresh process pays for every module the CLI imports; these five
         # cost more at start-up than the compiler's own modules.
         src = Path(godp.ontology.__file__).resolve().parents[1]
-        heavy = ("dataclasses", "inspect", "json", "typing")
+        heavy = ("dataclasses", "inspect", "json", "pathlib", "typing")
         code = f"import sys, godp.cli; print([m for m in {heavy!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],

@@ -21,6 +21,7 @@ from godp.axioms import (
 )
 from godp.diagnostics import GodpError
 from godp.expansion import (
+    Expander,
     Substitution,
     apply_substitution,
     check_instantiation,
@@ -28,7 +29,8 @@ from godp.expansion import (
     prune_omitted,
     stratify_ontology,
 )
-from godp.names import StructuredName, name
+from godp.names import THING, StructuredName, name
+from godp.ontology import FlatOntology
 from godp.parser import parse_library
 from godp.resolver import resolve
 
@@ -649,6 +651,75 @@ class TestDesugarOnce:
                 Declaration(CLS, name("Z")),
             ]
         )
+
+
+class TestBlockMemo:
+    """A block is built into an ontology once per substitution, while every
+    instantiation site is still checked."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = FlatOntology.from_axioms
+
+        def counting(axioms, span=None):
+            calls.append(span)
+            return original(axioms, span)
+
+        monkeypatch.setattr(FlatOntology, "from_axioms", staticmethod(counting))
+        return calls
+
+    def test_diamond_builds_its_leaf_block_once(self, builds, monkeypatch):
+        checks = []
+        original = godp.expansion.check_instantiation
+
+        def counting(pattern, args, **kwargs):
+            checks.append(pattern.name)
+            return original(pattern, args, **kwargs)
+
+        monkeypatch.setattr(godp.expansion, "check_instantiation", counting)
+        items = ["pattern P0 [Class: X] = Class: X SubClassOf: owl:Thing end"]
+        items += [f"pattern P{i} [Class: X] = P{i - 1} [X] and P{i - 1} [X] end" for i in range(1, 9)]
+        text = "library L " + " ".join(items) + " ontology O = P8 [Class: C] end"
+        result = expand(resolve_text(text), "O")
+        assert len(builds) == 1
+        assert len(checks) == 2**9 - 1
+        assert result.ontology.axioms == (Declaration(CLS, name("C")), SubClassOf(c("C"), Named(THING)))
+
+    def test_different_arguments_build_twice(self, builds):
+        text = (
+            "library L pattern R [Class: A] = Class: A SubClassOf: B end "
+            "ontology O = R [Class: X] and R [Class: Y] and R [Class: X] end"
+        )
+        onto = flatten_text(text, "O")
+        assert len(builds) == 2
+        assert onto.axioms == (
+            Declaration(CLS, name("X")),
+            SubClassOf(c("X"), c("B")),
+            Declaration(CLS, name("Y")),
+            SubClassOf(c("Y"), c("B")),
+        )
+
+    def test_omitted_and_passed_optional_argument_build_twice(self, builds):
+        text = (
+            "library L pattern R [Class: A] [Class: B ?] = Class: A SubClassOf: B end "
+            "ontology O = R [Class: X] [] and R [Class: X] [Class: Y] and R [Class: X] [] end"
+        )
+        onto = flatten_text(text, "O")
+        assert len(builds) == 2
+        assert onto.axioms == (Declaration(CLS, name("X")), SubClassOf(c("X"), c("Y")))
+
+    def test_block_error_is_raised_again_at_the_next_site(self):
+        text = (
+            "library L pattern R [Class: A] [ObjectProperty: q] = Class: A SubClassOf: q some B end "
+            "ontology O1 = R [Class: C] [ObjectProperty: C] end "
+            "ontology O2 = Class: D and R [Class: C] [ObjectProperty: C] end"
+        )
+        expander = Expander(resolve_text(text))
+        for target in ("O1", "O2"):
+            with pytest.raises(GodpError) as exc:
+                expander.expand_item(target)
+            assert exc.value.code == "ConflictingKind"
 
 
 class TestDeterminism:

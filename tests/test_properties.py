@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from godp.axioms import (
@@ -382,7 +383,7 @@ def reference_union(parts, ops, extension: bool):
 
 @st.composite
 def union_operands(draw):
-    """2-8 ontologies drawn as combine_operands draws its two; each part
+    """2-8 ontologies drawn as combine_operands draws its two; each new part
     decides on its own whether its names take their usual kind or a random
     one of two, so kind clashes occur at some junctions and not others."""
     named_equivalence = st.builds(EquivalentClasses, class_names.map(Named), class_names.map(Named))
@@ -398,7 +399,15 @@ def union_operands(draw):
         }
         return _flat(signature, [_flip_axiom(ax) if flip else ax for ax, flip in picks])
 
-    return [part() for _ in range(draw(st.integers(min_value=2, max_value=8)))]
+    parts: list[FlatOntology] = []
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        # A quarter of the parts repeat an earlier part object, as the
+        # memoized blocks of `P [X] and P [X]` do.
+        if parts and draw(st.integers(min_value=0, max_value=3)) == 0:
+            parts.append(draw(st.sampled_from(parts)))
+        else:
+            parts.append(part())
+    return parts
 
 
 # Clashes at both junctions: `and` must report the first one, on Ca (the
@@ -411,6 +420,20 @@ TWO_JUNCTIONS = [
 ]
 
 
+# Part 0 again after part 1, which declares C and restates part 0's
+# equivalence: the repeat adds nothing, and each side keeps its first axiom.
+_C, _D = Named(name("C")), Named(name("D"))
+_PART_A = _flat(
+    {name("C"): SigEntry(EntityKind.CLASS, False), name("D"): SigEntry(EntityKind.CLASS, True)},
+    [SubClassOf(_C, _D), EquivalentClasses(_C, _D)],
+)
+_PART_B = _flat(
+    {name("C"): SigEntry(EntityKind.CLASS, True), name("D"): SigEntry(EntityKind.CLASS, True)},
+    [Declaration(EntityKind.CLASS, name("C")), EquivalentClasses(_D, _C)],
+)
+REPEATED_PART = [_PART_A, _PART_B, _PART_A]
+
+
 class TestUnionMatchesReference:
     """union against the binary folds of the original combine algorithm."""
 
@@ -419,6 +442,11 @@ class TestUnionMatchesReference:
     @example(TWO_JUNCTIONS, False)
     @example(TWO_JUNCTIONS, True)
     @example(list(MANY_CLASHES) * 2, True)
+    @example(list(MANY_CLASHES) * 2, False)
+    @example([TWO_JUNCTIONS[0]] * 3, False)
+    @example([TWO_JUNCTIONS[0]] * 3, True)
+    @example(REPEATED_PART, False)
+    @example(REPEATED_PART, True)
     def test_same_axioms_signature_error_and_draws(self, parts, extension):
         ops = [Span(1, 10 * i + 1) for i in range(len(parts) - 1)]
         before = [(list(o.signature.items()), o.axioms) for o in parts]
@@ -450,6 +478,10 @@ class TestUnionMatchesReference:
             assert drawn == list(range(len(parts)))
         assert [(list(o.signature.items()), o.axioms) for o in parts] == before
 
+    @pytest.mark.parametrize("extension", [False, True])
+    def test_one_part_repeated_is_that_part(self, extension):
+        o = TWO_JUNCTIONS[0]
+        assert union([o, o, o], [None, None], extension=extension) is o
 
 class TestEmissionProperties:
     @SUITE
