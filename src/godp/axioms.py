@@ -435,11 +435,6 @@ def referenced_kinds(node: AtomicAxiom | ClassExpr, pairs: list | None = None) -
     return pairs
 
 
-def axiom_names(ax: AtomicAxiom) -> list[StructuredName]:
-    """Names in entity positions, in textual order (no constituent closure)."""
-    return [n for n, _ in referenced_kinds(ax)]
-
-
 def mentions(ax: AtomicAxiom) -> frozenset[StructuredName]:
     """Every StructuredName occurring in ``ax``, closed under constituents."""
     out: set[StructuredName] = set()

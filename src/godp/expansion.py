@@ -182,48 +182,39 @@ def check_instantiation(
     obligations: list[Obligation] = []
 
     for position, (param, arg) in enumerate(zip(pattern.params, args), start=1):
-        if isinstance(param, SymbolParam):
-            if isinstance(arg, OmittedArg):
-                if not param.optional:
-                    raise GodpError(
-                        "MissingMandatoryArgument",
-                        f"argument {position} of {pattern.name} ({param.name}) is mandatory",
-                        arg.span or span,
-                    )
-                omitted.add(param.name)
-            elif isinstance(arg, OntologyArg):
+        if isinstance(arg, OmittedArg):
+            if not param.optional:
+                named = f" ({param.name})" if isinstance(param, SymbolParam) else ""
+                raise GodpError(
+                    "MissingMandatoryArgument",
+                    f"argument {position} of {pattern.name}{named} is mandatory",
+                    arg.span or span,
+                )
+            omitted.update(n for n, _ in param.symbols)
+        elif isinstance(param, SymbolParam):
+            if isinstance(arg, OntologyArg):
                 raise GodpError(
                     "OntologyArgForSymbolParam",
                     f"argument {position} of {pattern.name} must be a single"
                     f" {param.kind} symbol, not an ontology",
                     arg.span or span,
                 )
-            else:
-                if arg.kind is not None and arg.kind is not param.kind:
-                    raise GodpError(
-                        "KindMismatch",
-                        f"argument {position} of {pattern.name}: expected"
-                        f" {param.kind}, got {arg.kind}",
-                        arg.span or span,
-                    )
-                if arg.name.base == THING_BASE and param.kind is not EntityKind.CLASS:
-                    raise GodpError(
-                        "KindMismatch",
-                        f"argument {position} of {pattern.name}: expected"
-                        f" {param.kind}, got owl:Thing",
-                        arg.span or span,
-                    )
-                mapping[param.name] = arg.name
+            if arg.kind is not None and arg.kind is not param.kind:
+                raise GodpError(
+                    "KindMismatch",
+                    f"argument {position} of {pattern.name}: expected"
+                    f" {param.kind}, got {arg.kind}",
+                    arg.span or span,
+                )
+            if arg.name.base == THING_BASE and param.kind is not EntityKind.CLASS:
+                raise GodpError(
+                    "KindMismatch",
+                    f"argument {position} of {pattern.name}: expected"
+                    f" {param.kind}, got owl:Thing",
+                    arg.span or span,
+                )
+            mapping[param.name] = arg.name
         else:
-            if isinstance(arg, OmittedArg):
-                if not param.optional:
-                    raise GodpError(
-                        "MissingMandatoryArgument",
-                        f"argument {position} of {pattern.name} is mandatory",
-                        arg.span or span,
-                    )
-                omitted.update(n for n, _ in param.symbols)
-                continue
             if isinstance(arg, SymbolArg):
                 if arg.kind is not None or not arg.name.is_plain:
                     raise GodpError(

@@ -10,7 +10,7 @@ patterns, to themselves — self-reference then surfaces as a cycle).
 
 from __future__ import annotations
 
-from .axioms import Declaration, EntityKind, axiom_names, mentions
+from .axioms import Declaration, mentions, referenced_kinds
 from .diagnostics import Diagnostic, GodpError, Span
 from .frames import desugar_frames
 from .names import THING_BASE, StructuredName
@@ -24,7 +24,6 @@ from .syntax import (
     OntologyParam,
     PatternDef,
     Ref,
-    SymbolParam,
     leaves,
 )
 
@@ -45,18 +44,6 @@ class ResolvedLibrary:
         return [i.name for i in self.library.items if isinstance(i, OntologyDef)]
 
 
-def pattern_param_names(item: PatternDef) -> set[StructuredName]:
-    """Names a pattern's parameter list introduces: each symbol parameter, and
-    the symbols an ontology parameter declares, which are its frame subjects."""
-    names: set[StructuredName] = set()
-    for param in item.params:
-        if isinstance(param, SymbolParam):
-            names.add(param.name)
-        else:
-            names.update(n for n, _ in param.symbols)
-    return names
-
-
 def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
     table: dict[str, object] = {}
     order: dict[str, int] = {}
@@ -73,12 +60,19 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
         table[item.name] = item
         order[item.name] = index
 
+    # Per pattern, what its body uses: the plain parts of the names in its
+    # blocks, and its ontology arguments with a fit; the UnboundSymbol pass
+    # after cycle detection reads these instead of walking the body again.
+    uses: list[tuple[PatternDef, set[StructuredName], list[OntologyArg]]] = []
     for item in lib.items:
         if item.name not in table or table[item.name] is not item:
             continue  # duplicate definition, already reported
         refs: list[str] = []
         references[item.name] = refs
-        in_scope = pattern_param_names(item) if isinstance(item, PatternDef) else ()
+        is_pattern = isinstance(item, PatternDef)
+        in_scope = {n for param in item.params for n, _ in param.symbols} if is_pattern else ()
+        used: set[StructuredName] = set()
+        fitted: list[OntologyArg] = []
 
         def bind(name: str, span: Span):
             """The item ``name`` refers to, recorded as a reference; None,
@@ -106,13 +100,22 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                 )
 
         for leaf in leaves(item.body):
-            if isinstance(leaf, Ref):
+            if isinstance(leaf, Basic):
+                if is_pattern:
+                    try:
+                        axioms = desugar_frames(leaf.frames)
+                    except GodpError:
+                        continue  # ill-formed frame; expansion reports it with location
+                    for ax in axioms:
+                        for n, _ in referenced_kinds(ax):
+                            used |= _plain_parts(n)
+            elif isinstance(leaf, Ref):
                 target = bind(leaf.name, leaf.span)
                 if isinstance(target, PatternDef):
                     # A bare reference to a pattern is an instantiation with
                     # no argument groups; report the arity gap.
                     report("ArityMismatch", _arity_message(target, 0), leaf.span)
-            elif isinstance(leaf, Instantiate):
+            else:
                 target = bind(leaf.pattern, leaf.span)
                 params = ()
                 if isinstance(target, PatternDef):
@@ -124,6 +127,8 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                 for position, arg in enumerate(leaf.args, start=1):
                     if isinstance(arg, OntologyArg):
                         check_ontology_arg(arg.name, arg.span)
+                        if arg.fit:
+                            fitted.append(arg)
                     elif (
                         position <= len(params)
                         and isinstance(params[position - 1], OntologyParam)
@@ -143,8 +148,9 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                         else:
                             check_ontology_arg(arg.name.base, arg.span)
 
-        if isinstance(item, PatternDef):
+        if is_pattern:
             _check_pattern(item, report)
+            uses.append((item, used, fitted))
 
     resolved = ResolvedLibrary(lib, table, order, references, diagnostics)
     for cycle in detect_cycles(resolved):
@@ -153,19 +159,30 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
             "cyclic reference: " + " -> ".join(cycle + [cycle[0]]),
             getattr(resolved.table.get(cycle[0]), "span", None),
         )
-    for item in lib.items:
-        if isinstance(item, PatternDef) and table.get(item.name) is item:
-            for n in sorted(pattern_free_symbols(resolved, item), key=str):
-                diagnostics.append(
-                    Diagnostic(
-                        "warning",
-                        "UnboundSymbol",
-                        f"pattern {item.name!r} mentions {n}, which is neither a"
-                        " parameter nor declared by the body or a referenced ontology",
-                        item.span,
-                        file,
-                    )
+    for item, free, fitted in uses:
+        # A fit target must be declared by the argument ontology.
+        for arg in fitted:
+            bound = declared_symbols(resolved, arg.name)
+            for _, target in arg.fit:
+                if target not in bound:
+                    free |= _plain_parts(target)
+        params = {n for param in item.params for n, _ in param.symbols}
+        free = {n for n in free if n not in params and n.base != THING_BASE}
+        if free:
+            for declared in declared_symbols(resolved, item.name):
+                free -= _plain_parts(declared)
+                free.discard(declared)
+        for n in sorted(free, key=str):
+            diagnostics.append(
+                Diagnostic(
+                    "warning",
+                    "UnboundSymbol",
+                    f"pattern {item.name!r} mentions {n}, which is neither a"
+                    " parameter nor declared by the body or a referenced ontology",
+                    item.span,
+                    file,
                 )
+            )
     return resolved
 
 
@@ -178,16 +195,13 @@ def _check_pattern(item: PatternDef, report) -> None:
     optional_names: set[StructuredName] = set()
 
     for param in item.params:
-        if isinstance(param, SymbolParam):
-            introduced: tuple[tuple[StructuredName, EntityKind], ...] = ((param.name, param.kind),)
-        else:
+        if isinstance(param, OntologyParam):
             try:
                 axioms = desugar_frames(param.frames)
             except GodpError as exc:
                 report(exc.code, exc.message, exc.span or param.span)
                 continue
-            introduced = param.symbols
-            declared = {n for n, _ in introduced}
+            declared = {n for n, _ in param.symbols}
             for ax in axioms:
                 if isinstance(ax, Declaration):
                     continue
@@ -209,31 +223,34 @@ def _check_pattern(item: PatternDef, report) -> None:
                         param.span,
                     )
 
-        for n, _kind in introduced:
+        for n, _kind in param.symbols:
             if n.is_plain and n.base == item.name:
                 report("DuplicateName", f"parameter {n} shadows the pattern name", param.span)
             if n in seen:
                 report("DuplicateName", f"parameter {n} is declared twice", param.span)
             seen.add(n)
         if param.optional:
-            optional_names.update(n for n, _ in introduced)
+            optional_names.update(n for n, _ in param.symbols)
 
 
-def declared_symbols(resolved: ResolvedLibrary, item_name: str, _seen: set[str] | None = None) -> set[StructuredName]:
+def declared_symbols(resolved: ResolvedLibrary, item_name: str) -> set[StructuredName]:
     """Syntactic declared-symbol set of an item: frame subjects of its body
     plus those of every reachable referenced item (pre-substitution)."""
-    seen = _seen if _seen is not None else set()
-    if item_name in seen or item_name not in resolved.table:
-        return set()
-    seen.add(item_name)
     out: set[StructuredName] = set()
-    for leaf in leaves(resolved.table[item_name].body):
-        if isinstance(leaf, Instantiate):
-            out.update(declared_symbols(resolved, leaf.pattern, seen))
-        elif isinstance(leaf, Ref):
-            out.update(declared_symbols(resolved, leaf.name, seen))
-        elif isinstance(leaf, Basic):
-            out.update(frame.subject for frame in leaf.frames)
+    seen: set[str] = set()
+    stack = [item_name]
+    while stack:
+        name = stack.pop()
+        if name in seen or name not in resolved.table:
+            continue
+        seen.add(name)
+        for leaf in leaves(resolved.table[name].body):
+            if isinstance(leaf, Instantiate):
+                stack.append(leaf.pattern)
+            elif isinstance(leaf, Ref):
+                stack.append(leaf.name)
+            elif isinstance(leaf, Basic):
+                out.update(frame.subject for frame in leaf.frames)
     return out
 
 
@@ -241,68 +258,42 @@ def _plain_parts(n: StructuredName) -> set[StructuredName]:
     """The plain names a symbol occurrence depends on: the name itself if
     plain, otherwise its constituents (bases of parameterized names are name
     templates rather than entities and stay exempt)."""
-    if n.is_plain:
-        return {n}
     out: set[StructuredName] = set()
-    for constituent in n.constituents:
-        out |= _plain_parts(constituent)
+    stack = [n]
+    while stack:
+        n = stack.pop()
+        if n.is_plain:
+            out.add(n)
+        else:
+            stack.extend(n.constituents)
     return out
 
 
-def pattern_free_symbols(resolved: ResolvedLibrary, item: PatternDef) -> set[StructuredName]:
-    """Plain symbols the pattern body uses that nothing binds: not parameters,
-    not declared in the body, not builtins, not declared by a referenced item."""
-    covered: set[StructuredName] = set(pattern_param_names(item))
-    for declared in declared_symbols(resolved, item.name):
-        covered |= _plain_parts(declared)
-        covered.add(declared)
-
-    free: set[StructuredName] = set()
-    for leaf in leaves(item.body):
-        if isinstance(leaf, Instantiate):
-            for arg in leaf.args:
-                if isinstance(arg, OntologyArg):
-                    # A fit target must be declared by the argument ontology.
-                    bound = declared_symbols(resolved, arg.name)
-                    for _, target in arg.fit:
-                        if target not in bound:
-                            free.update(_plain_parts(target))
-        elif isinstance(leaf, Basic):
-            try:
-                axioms = desugar_frames(leaf.frames)
-            except GodpError:
-                continue  # ill-formed frame; expansion reports it with location
-            for ax in axioms:
-                for n in axiom_names(ax):
-                    free.update(_plain_parts(n))
-    return {n for n in free if n not in covered and n.base != THING_BASE}
-
-
 def detect_cycles(resolved: ResolvedLibrary) -> list[list[str]]:
-    """Cycles in the item-reference graph; an empty list means expansion
-    terminates."""
+    """Cycles in the item-reference graph, one per back edge of a depth-first
+    search in definition order; an empty list means expansion terminates."""
     graph = {
         name: sorted(set(refs), key=lambda r: resolved.order[r])
         for name, refs in resolved.references.items()
     }
     cycles: list[list[str]] = []
-    state: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
-    for name in resolved.order:
-        if state.get(name, 0) == 0:
-            _visit(name, graph, state, [], cycles)
+    on_path: dict[str, bool] = {}  # visited name -> still on the search path
+    for root in resolved.order:
+        if root in on_path:
+            continue
+        on_path[root] = True
+        path = [root]
+        successors = [iter(graph.get(root, ()))]
+        while path:
+            for succ in successors[-1]:
+                if succ not in on_path:
+                    on_path[succ] = True
+                    path.append(succ)
+                    successors.append(iter(graph.get(succ, ())))
+                    break
+                if on_path[succ]:
+                    cycles.append(path[path.index(succ) :])
+            else:
+                on_path[path.pop()] = False
+                successors.pop()
     return cycles
-
-
-def _visit(node: str, graph: dict, state: dict, stack: list, cycles: list) -> None:
-    """Depth-first step of :func:`detect_cycles`: appends to ``cycles`` each
-    back edge's cycle. A module-level function, not a closure that calls
-    itself, which would be a reference cycle left for the garbage collector."""
-    state[node] = 1
-    stack.append(node)
-    for succ in graph.get(node, ()):
-        if state.get(succ, 0) == 0:
-            _visit(succ, graph, state, stack, cycles)
-        elif state.get(succ) == 1:
-            cycles.append(stack[stack.index(succ) :])
-    stack.pop()
-    state[node] = 2

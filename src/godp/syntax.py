@@ -23,6 +23,11 @@ class SymbolParam:
     optional: bool
     span: Span
 
+    @property
+    def symbols(self) -> tuple[tuple[StructuredName, EntityKind], ...]:
+        """The parameter's signature, as :attr:`OntologyParam.symbols`."""
+        return ((self.name, self.kind),)
+
 
 @record
 class OntologyParam:
