@@ -752,7 +752,7 @@ class TestDeepChains:
     @pytest.mark.parametrize("shape", ["and", "then"])
     def test_patterns_nested_300_deep(self, tmp_path, shape):
         # Each level of pattern nesting costs as many frames as with binary
-        # nodes; the resolver's walks stop at about 326 levels.
+        # nodes; the expander stops at about 326 levels.
         items = ["pattern P0 [Class: X] = Class: X end"]
         items += [f"pattern P{i} [Class: X] = P{i - 1} [X] {shape} Class: X end" for i in range(1, 301)]
         path = write(tmp_path, "library D\n" + "\n".join(items) + "\nontology T = P300 [Class: A] end\n")
@@ -760,6 +760,17 @@ class TestDeepChains:
             [sys.executable, "-m", "godp", "flatten", path, "--target", "T"], capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Class: A\n", "")
+
+
+    def test_check_3000_ontology_cycle(self, tmp_path):
+        n = 3000
+        items = [f"ontology O{i} = O{(i + 1) % n} and Class: A{i} end" for i in range(n)]
+        path = write(tmp_path, "library L\n" + "\n".join(items) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "godp", "check", path], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        codes = [line.split(": ")[2] for line in proc.stderr.splitlines()]
+        assert codes == ["ForwardReference"] * (n - 1) + ["CyclicReference"]
+        assert f"{path}:2:1: error: CyclicReference: cyclic reference: O0 -> O1 -> O2 -> " in proc.stderr
 
 
 class TestNormalizationCount:

@@ -45,7 +45,9 @@ from godp.expansion import Substitution, apply_substitution, prune_omitted, stra
 from godp.frames import desugar_frames
 from godp.names import THING, THING_BASE, StructuredName, name, stratify_name, substitute_name
 from godp.ontology import FlatOntology, SigEntry, combine, union
-from godp.parser import parse_frames
+from godp.parser import parse_frames, parse_library
+from godp.resolver import declared_symbols, detect_cycles, resolve
+from godp.syntax import Basic, Instantiate, Ref, leaves
 
 SUITE = settings(
     max_examples=250,
@@ -655,3 +657,93 @@ class TestStratifyMatchesReference:
             for ax, source in zip(out.axioms, sources.values()):
                 assert (ax is source) == all(n.is_plain for n, _ in referenced_kinds(source))
         assert (list(o.signature.items()), o.axioms) == before
+
+
+# ---------------------------------------------------------------------------
+# Reference-graph searches against recursive oracles
+# ---------------------------------------------------------------------------
+
+
+def reference_declared_symbols(resolved, item_name, seen=None):
+    """Recursive depth-first declared-symbol search, the resolver's original."""
+    seen = seen if seen is not None else set()
+    if item_name in seen or item_name not in resolved.table:
+        return set()
+    seen.add(item_name)
+    out = set()
+    for leaf in leaves(resolved.table[item_name].body):
+        if isinstance(leaf, Instantiate):
+            out.update(reference_declared_symbols(resolved, leaf.pattern, seen))
+        elif isinstance(leaf, Ref):
+            out.update(reference_declared_symbols(resolved, leaf.name, seen))
+        elif isinstance(leaf, Basic):
+            out.update(frame.subject for frame in leaf.frames)
+    return out
+
+
+def reference_detect_cycles(resolved):
+    """Recursive depth-first cycle search, the resolver's original."""
+    graph = {name: sorted(set(refs), key=lambda r: resolved.order[r]) for name, refs in resolved.references.items()}
+    cycles, state = [], {}
+
+    def visit(node, stack):
+        state[node] = 1
+        stack.append(node)
+        for succ in graph.get(node, ()):
+            if state.get(succ, 0) == 0:
+                visit(succ, stack)
+            elif state.get(succ) == 1:
+                cycles.append(stack[stack.index(succ):])
+        stack.pop()
+        state[node] = 2
+
+    for name in resolved.order:
+        if state.get(name, 0) == 0:
+            visit(name, [])
+    return cycles
+
+
+@st.composite
+def reference_graphs(draw):
+    """Library text of up to 8 ontologies and patterns whose bodies refer to
+    any item, earlier, later or themselves, bare, instantiated or as an
+    ontology argument, with unknown names and repeated item names mixed in."""
+    count = draw(st.integers(1, 8))
+    names = [f"I{i}" for i in range(count)]
+    targets = st.sampled_from(names + ["Nowhere"])
+    items = []
+    for i in range(count):
+        leaves_ = draw(st.lists(
+            st.one_of(
+                st.sampled_from(CLASS_POOL).map(lambda c: f"Class: {c}"),
+                targets,
+                st.builds("{} [Class: X]".format, targets),
+                st.builds("{} [{}]".format, targets, targets),
+            ),
+            min_size=1,
+            max_size=4,
+        ))
+        ops = draw(st.lists(st.sampled_from([" and ", " then "]), min_size=len(leaves_), max_size=len(leaves_)))
+        body = leaves_[0] + "".join(f"{op}({leaf})" for op, leaf in zip(ops, leaves_[1:]))
+        item = draw(st.sampled_from(names[:i] + [f"I{i}"] * 4))  # mostly fresh, sometimes a duplicate
+        if draw(st.booleans()):
+            items.append(f"pattern {item} [Class: X] = {body} end")
+        else:
+            items.append(f"ontology {item} = {body} end")
+    return "library L " + " ".join(items)
+
+
+class TestReferenceSearchesMatchOracles:
+    """The resolver's iterative cycle and declared-symbol searches find what
+    the recursive searches they replaced found, in the same order."""
+
+    @SUITE
+    @given(reference_graphs())
+    @example("library L pattern I0 [Class: X] = I0 [Class: X] and Class: Ca end")
+    @example("library L ontology I0 = I1 and Class: Ca end ontology I1 = I2 end ontology I2 = I0 and I1 end")
+    @example("library L pattern I0 [Class: X] = Class: Ca end ontology I1 = I0 [Class: X] and I0 [Class: X] end")
+    def test_same_cycles_and_declared_symbols(self, text):
+        resolved = resolve(parse_library(text))
+        assert detect_cycles(resolved) == reference_detect_cycles(resolved)
+        for item_name in [*resolved.order, "Nowhere"]:
+            assert declared_symbols(resolved, item_name) == reference_declared_symbols(resolved, item_name)

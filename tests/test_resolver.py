@@ -5,7 +5,8 @@ import pytest
 from godp.diagnostics import GodpError, Span
 from godp.expansion import expand
 from godp.parser import parse_library
-from godp.resolver import detect_cycles, resolve
+from godp.names import name
+from godp.resolver import declared_symbols, detect_cycles, resolve
 from godp.syntax import AndExpr, Ref, leaves
 
 from tests.conftest import fixture_text
@@ -125,9 +126,6 @@ class TestFreeSymbols:
         assert exc.value.code == "FitTargetUndeclared"
 
     def test_declared_symbols_helper(self):
-        from godp.names import name
-        from godp.resolver import declared_symbols
-
         resolved = resolve(parse_library(fixture_text("role.gdol")))
         symbols = declared_symbols(resolved, "ThematicRoles")
         assert name("Role") in symbols
@@ -153,6 +151,30 @@ class TestCycles:
         text = fixture_text("obligations.gdol")
         resolved = resolve(parse_library(text))
         assert "Taxonomy" in resolved.references["PuppyTerm"]
+
+
+class TestNoRecursion:
+    """Binding, cycle detection and the declared-symbol search take no stack
+    per item or per level, so long reference chains resolve at the default
+    recursion limit."""
+
+    def test_5000_ontology_forward_reference_cycle(self):
+        n = 5000
+        text = "library L " + " ".join(f"ontology O{i} = O{(i + 1) % n} and Class: A{i} end" for i in range(n))
+        resolved, codes = resolve_errors(text)
+        assert codes == ["ForwardReference"] * (n - 1) + ["CyclicReference"]
+        assert detect_cycles(resolved) == [[f"O{i}" for i in range(n)]]
+        assert declared_symbols(resolved, "O0") == {name(f"A{i}") for i in range(n)}
+
+    def test_1500_deep_pattern_chain(self):
+        n = 1500
+        text = "library L pattern P0 [Class: X] = Class: X end " + " ".join(
+            f"pattern P{i} [Class: X] = P{i - 1} [X] and Class: X end" for i in range(1, n)
+        )
+        resolved = resolve(parse_library(text))
+        assert resolved.diagnostics == []
+        assert detect_cycles(resolved) == []
+        assert declared_symbols(resolved, f"P{n - 1}") == {name("X")}
 
 
 class TestNoCyclicGarbage:
