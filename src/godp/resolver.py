@@ -24,6 +24,7 @@ from .syntax import (
     OntologyParam,
     PatternDef,
     Ref,
+    SymbolParam,
     leaves,
 )
 
@@ -70,7 +71,7 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
         refs: list[str] = []
         references[item.name] = refs
         is_pattern = isinstance(item, PatternDef)
-        in_scope = {n for param in item.params for n, _ in param.symbols} if is_pattern else ()
+        in_scope = {n: kind for param in item.params for n, kind in param.symbols} if is_pattern else {}
         used: set[StructuredName] = set()
         fitted: list[OntologyArg] = []
 
@@ -125,17 +126,25 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                 elif target is not None:
                     report("NotAPattern", f"{leaf.pattern!r} is an ontology, not a pattern", leaf.span)
                 for position, arg in enumerate(leaf.args, start=1):
+                    param = params[position - 1] if position <= len(params) else None
                     if isinstance(arg, OntologyArg):
                         check_ontology_arg(arg.name, arg.span)
                         if arg.fit:
                             fitted.append(arg)
-                    elif (
-                        position <= len(params)
-                        and isinstance(params[position - 1], OntologyParam)
-                        and not isinstance(arg, OmittedArg)
-                        and arg.kind is None
-                        and arg.name.is_plain
-                    ):
+                    elif isinstance(arg, OmittedArg):
+                        continue
+                    elif isinstance(param, SymbolParam):
+                        # A parameter passed on keeps the kind its pattern declares.
+                        kind = in_scope.get(arg.name)
+                        expected = arg.kind or param.kind
+                        if kind is not None and kind is not expected:
+                            report(
+                                "KindMismatch",
+                                f"argument {position} of {leaf.pattern}: expected {expected},"
+                                f" but {arg.name} is a {kind} parameter of {item.name}",
+                                arg.span,
+                            )
+                    elif isinstance(param, OntologyParam) and arg.kind is None and arg.name.is_plain:
                         # Bare name in an ontology-parameter position: an
                         # ontology reference, not a symbol, nor a parameter.
                         if arg.name in in_scope:

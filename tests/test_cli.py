@@ -521,9 +521,8 @@ class TestCheck:
         assert "warning" in err
 
     # A pattern passes its Class parameter X on to Q's ObjectProperty
-    # parameter; nothing compares the two kinds yet, so both compile to
-    # `ObjectProperty: C` with exit 0.
-    @pytest.mark.xfail(strict=True, reason="kinds of a pattern's own parameters are not checked where passed on")
+    # parameter, bare or with the callee's kind written: the resolver
+    # compares the two kinds where P is written.
     @pytest.mark.parametrize("call", ["Q [X]", "Q [ObjectProperty: X]"])
     def test_parameter_passed_on_with_another_kind(self, capsys, tmp_path, call):
         path = write(

@@ -733,15 +733,17 @@ class TestDeterminism:
 
 class TestBodyEvaluation:
     def test_body_desugared_before_nested_instantiation_checked(self):
-        # Q's KindMismatch comes first in the body, but every Basic block of
-        # a body is desugared before any part of it is evaluated.
+        # Q's FitTargetUndeclared, found only at the site, comes first in the
+        # body, but every Basic block of a body is desugared before any part
+        # of it is evaluated.
         text = (
-            "library L pattern Q [ObjectProperty: p] = ObjectProperty: p end "
-            "pattern P [Class: X] = Q [ObjectProperty: X] and Class: A Domain: B end "
-            "ontology O = P [Class: C] end"
+            "library L ontology O = Class: b end "
+            "pattern Q [ontology {Class: a}] = Class: Z end "
+            "pattern P [Class: X] = Q [O fit a |-> X] and Class: A Domain: B end "
+            "ontology T = P [Class: K] end"
         )
         with pytest.raises(GodpError) as exc:
-            expand(resolve_text(text), "O")
+            expand(resolve_text(text), "T")
         assert exc.value.code == "UnsupportedConstruct"
         assert exc.value.message == "section 'Domain' is not supported in a Class frame"
         assert [n.message for n in exc.value.notes] == ["while expanding instantiation of 'P'"]
@@ -804,8 +806,8 @@ class TestLibraryApiFile:
         [
             # raised in check_instantiation, under two notes
             (
-                "pattern Q [ObjectProperty: p] = ObjectProperty: p end "
-                "pattern P [Class: X] = Q [X] end ontology O = P [Class: owl:Thing] end",
+                "pattern Q [Class: c] = Class: c end "
+                "pattern P [Class: X] = Q [ObjectProperty: r] end ontology O = P [Class: A] end",
                 3,
             ),
             ("ontology O = Class: A and ObjectProperty: A end", 1),  # raised in union
