@@ -61,10 +61,11 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
         table[item.name] = item
         order[item.name] = index
 
-    # Per pattern, what its body uses: the plain parts of the names in its
-    # blocks, and its ontology arguments with a fit; the UnboundSymbol pass
-    # after cycle detection reads these instead of walking the body again.
-    uses: list[tuple[PatternDef, set[StructuredName], list[OntologyArg]]] = []
+    # Per pattern, its parameters and what its body uses: the plain parts of
+    # the names in its blocks, and its ontology arguments with a fit; the
+    # UnboundSymbol pass after cycle detection reads these instead of
+    # walking the body again.
+    uses: list[tuple[PatternDef, dict, set[StructuredName], list[OntologyArg]]] = []
     for item in lib.items:
         if item.name not in table or table[item.name] is not item:
             continue  # duplicate definition, already reported
@@ -159,7 +160,7 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
 
         if is_pattern:
             _check_pattern(item, report)
-            uses.append((item, used, fitted))
+            uses.append((item, in_scope, used, fitted))
 
     resolved = ResolvedLibrary(lib, table, order, references, diagnostics)
     for cycle in detect_cycles(resolved):
@@ -168,14 +169,13 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
             "cyclic reference: " + " -> ".join(cycle + [cycle[0]]),
             getattr(resolved.table.get(cycle[0]), "span", None),
         )
-    for item, free, fitted in uses:
+    for item, params, free, fitted in uses:
         # A fit target must be declared by the argument ontology.
         for arg in fitted:
             bound = declared_symbols(resolved, arg.name)
             for _, target in arg.fit:
                 if target not in bound:
                     free |= _plain_parts(target)
-        params = {n for param in item.params for n, _ in param.symbols}
         free = {n for n in free if n not in params and n.base != THING_BASE}
         if free:
             for declared in declared_symbols(resolved, item.name):
