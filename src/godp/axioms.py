@@ -64,8 +64,7 @@ class ClassExpr:
     commutative = False
 
 
-@record
-class Named(ClassExpr):
+class Named(ClassExpr, metaclass=record):
     name: StructuredName
     roles = (EntityKind.CLASS,)
     template = "{}"
@@ -75,24 +74,21 @@ class Named(ClassExpr):
         return self.name.base == THING_BASE
 
 
-@record
-class SomeValuesFrom(ClassExpr):
+class SomeValuesFrom(ClassExpr, metaclass=record):
     prop: StructuredName
     filler: ClassExpr
     roles = (EntityKind.OBJECT_PROPERTY, EXPR)
     template = "{} some {}"
 
 
-@record
-class AllValuesFrom(ClassExpr):
+class AllValuesFrom(ClassExpr, metaclass=record):
     prop: StructuredName
     filler: ClassExpr
     roles = (EntityKind.OBJECT_PROPERTY, EXPR)
     template = "{} only {}"
 
 
-@record
-class Cardinality(ClassExpr):
+class Cardinality(ClassExpr, metaclass=record):
     prop: StructuredName
     bound: str  # "min" | "max" | "exactly"
     n: int
@@ -107,15 +103,13 @@ class Cardinality(ClassExpr):
             raise ValueError("cardinality must be non-negative")
 
 
-@record
-class Not(ClassExpr):
+class Not(ClassExpr, metaclass=record):
     operand: ClassExpr
     roles = (EXPR,)
     template = "not {}"
 
 
-@record
-class And(ClassExpr):
+class And(ClassExpr, metaclass=record):
     operands: tuple[ClassExpr, ...]
     roles = (EXPRS,)
     joiner, level = " and ", _LEVEL_AND
@@ -125,8 +119,7 @@ class And(ClassExpr):
             raise ValueError("conjunction needs at least 2 operands")
 
 
-@record
-class Or(ClassExpr):
+class Or(ClassExpr, metaclass=record):
     operands: tuple[ClassExpr, ...]
     roles = (EXPRS,)
     joiner, level = " or ", _LEVEL_OR
@@ -195,8 +188,7 @@ class AtomicAxiom:
         return cls(*values)
 
 
-@record
-class Declaration(AtomicAxiom):
+class Declaration(AtomicAxiom, metaclass=record):
     """A frame header: ``name`` is an entity of ``kind``."""
 
     kind: EntityKind
@@ -209,16 +201,14 @@ class Declaration(AtomicAxiom):
         return self.kind
 
 
-@record
-class SubClassOf(AtomicAxiom):
+class SubClassOf(AtomicAxiom, metaclass=record):
     sub: ClassExpr
     sup: ClassExpr
     roles = (EXPR, EXPR)
     frame_kind, keyword = EntityKind.CLASS, "SubClassOf"
 
 
-@record
-class EquivalentClasses(AtomicAxiom):
+class EquivalentClasses(AtomicAxiom, metaclass=record):
     a: ClassExpr
     b: ClassExpr
     roles = (EXPR, EXPR)
@@ -226,8 +216,7 @@ class EquivalentClasses(AtomicAxiom):
     commutative = True
 
 
-@record
-class DisjointClasses(AtomicAxiom):
+class DisjointClasses(AtomicAxiom, metaclass=record):
     a: ClassExpr
     b: ClassExpr
     roles = (EXPR, EXPR)
@@ -235,56 +224,49 @@ class DisjointClasses(AtomicAxiom):
     commutative = True
 
 
-@record
-class ObjectPropertyDomain(AtomicAxiom):
+class ObjectPropertyDomain(AtomicAxiom, metaclass=record):
     prop: StructuredName
     cls: ClassExpr
     roles = (EntityKind.OBJECT_PROPERTY, EXPR)
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Domain"
 
 
-@record
-class ObjectPropertyRange(AtomicAxiom):
+class ObjectPropertyRange(AtomicAxiom, metaclass=record):
     prop: StructuredName
     cls: ClassExpr
     roles = (EntityKind.OBJECT_PROPERTY, EXPR)
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Range"
 
 
-@record
-class InverseProperties(AtomicAxiom):
+class InverseProperties(AtomicAxiom, metaclass=record):
     prop: StructuredName
     inverse: StructuredName
     roles = (EntityKind.OBJECT_PROPERTY, EntityKind.OBJECT_PROPERTY)
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "InverseOf"
 
 
-@record
-class FunctionalProperty(AtomicAxiom):
+class FunctionalProperty(AtomicAxiom, metaclass=record):
     prop: StructuredName
     roles = (EntityKind.OBJECT_PROPERTY,)
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Characteristics"
     payload = "Functional"
 
 
-@record
-class InverseFunctionalProperty(AtomicAxiom):
+class InverseFunctionalProperty(AtomicAxiom, metaclass=record):
     prop: StructuredName
     roles = (EntityKind.OBJECT_PROPERTY,)
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Characteristics"
     payload = "InverseFunctional"
 
 
-@record
-class SubPropertyOf(AtomicAxiom):
+class SubPropertyOf(AtomicAxiom, metaclass=record):
     sub: StructuredName
     sup: StructuredName
     roles = (EntityKind.OBJECT_PROPERTY, EntityKind.OBJECT_PROPERTY)
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "SubPropertyOf"
 
 
-@record
-class ClassAssertion(AtomicAxiom):
+class ClassAssertion(AtomicAxiom, metaclass=record):
     cls: ClassExpr
     individual: StructuredName
     roles = (EXPR, EntityKind.INDIVIDUAL)
@@ -292,8 +274,7 @@ class ClassAssertion(AtomicAxiom):
     subject_at = 1
 
 
-@record
-class PropertyAssertion(AtomicAxiom):
+class PropertyAssertion(AtomicAxiom, metaclass=record):
     prop: StructuredName
     subject: StructuredName
     object: StructuredName

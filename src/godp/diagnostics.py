@@ -11,8 +11,7 @@ from __future__ import annotations
 from .record import record
 
 
-@record
-class Span:
+class Span(metaclass=record):
     """Half-open region of source text; line and column are 1-based."""
 
     line: int
@@ -76,8 +75,7 @@ def exit_code_for(code: str) -> int:
     return EXIT_FRONTEND
 
 
-@record
-class Diagnostic:
+class Diagnostic(metaclass=record):
     severity: str  # "error" | "warning" | "note"
     code: str
     message: str

@@ -51,8 +51,7 @@ from .syntax import (
 )
 
 
-@record
-class Substitution:
+class Substitution(metaclass=record):
     """Parameter-to-argument map plus the set of omitted parameter names."""
 
     mapping: tuple[tuple[StructuredName, StructuredName], ...]
@@ -62,8 +61,7 @@ class Substitution:
         return dict(self.mapping)
 
 
-@record
-class Obligation:
+class Obligation(metaclass=record):
     pattern: str
     position: int  # 1-based argument position
     span: Span | None

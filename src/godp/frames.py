@@ -13,15 +13,13 @@ from .names import StructuredName
 from .record import record
 
 
-@record
-class Section:
+class Section(metaclass=record):
     keyword: str
     items: tuple  # each shaped as axioms.SECTION_ITEM_ROLES[keyword] says
     span: Span | None = None
 
 
-@record
-class Frame:
+class Frame(metaclass=record):
     kind: EntityKind
     subject: StructuredName
     sections: tuple[Section, ...] = ()

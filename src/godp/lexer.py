@@ -11,14 +11,17 @@ characters for which ``str.isalnum()`` is true, and ``_``. An integer is a
 run of ``str.isdigit()`` characters.
 
 ``tokenize`` returns a :class:`TokenStream`: the kinds, values and start
-offsets of the tokens as three parallel lists, read by index. It builds no
-object per token; a token's line and column come from its offset by
-bisecting the offsets of the line starts, only when a ``Span`` is asked for.
+offsets of the tokens as three parallel sequences, read by index. It builds
+no object per token: the kinds are shared constants, each spelling of a word
+is one shared ``str``, and the offsets are machine integers in an ``array``.
+A token's line and column come from its offset by bisecting the offsets of
+the line starts, only when a ``Span`` is asked for.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
 
 from . import axioms
@@ -84,14 +87,14 @@ _COLON_KINDS = frozenset({FRAME_KW, SECTION_KW, UNSUPPORTED_KW})
 
 
 class TokenStream:
-    """The tokens of one text as parallel lists: ``kinds``, ``values`` and
-    ``starts`` (the offset of each token's first character), plus
-    ``line_starts``, the offset of each line's first character. A token's
-    ``Span`` is built only when asked for."""
+    """The tokens of one text as parallel sequences: the lists ``kinds`` and
+    ``values``, and the array ``starts`` (the offset of each token's first
+    character), plus the array ``line_starts``, the offset of each line's
+    first character. A token's ``Span`` is built only when asked for."""
 
     __slots__ = ("kinds", "values", "starts", "line_starts")
 
-    def __init__(self, kinds: list[str], values: list[str], starts: list[int], line_starts: list[int]):
+    def __init__(self, kinds: list[str], values: list[str], starts: array, line_starts: array):
         self.kinds = kinds
         self.values = values
         self.starts = starts
@@ -116,8 +119,10 @@ _NEWLINE = re.compile(r"\n")
 def tokenize(text: str, file: str | None = None) -> TokenStream:
     kinds: list[str] = []
     values: list[str] = []
-    starts: list[int] = []
+    starts = array("q")
     add_kind, add_value, add_start = kinds.append, values.append, starts.append
+    # One str per spelling: a word's value is the first slice of its text.
+    spelling = {}.setdefault
     i = 0
     n = len(text)
 
@@ -139,6 +144,7 @@ def tokenize(text: str, file: str | None = None) -> TokenStream:
         if c.isalpha():
             j = _WORD_TAIL.match(text, i + 1).end()
             value = text[i:j]
+            value = spelling(value, value)
             # owl:Thing is a single atom (no spaces around the colon).
             if value == "owl" and text.startswith(":Thing", j) and not (
                 j + 6 < n and (text[j + 6].isalnum() or text[j + 6] == "_")
@@ -179,8 +185,8 @@ def tokenize(text: str, file: str | None = None) -> TokenStream:
     add_kind(EOF)
     add_value("")
     add_start(n)
-    line_starts = [0]
-    line_starts += [m.end() for m in _NEWLINE.finditer(text)]
+    line_starts = array("q", [0])
+    line_starts.extend(m.end() for m in _NEWLINE.finditer(text))
     return TokenStream(kinds, values, starts, line_starts)
 
 

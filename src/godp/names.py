@@ -19,10 +19,10 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 THING_BASE = "owl:Thing"
 
 
-@record
-class StructuredName:
+class StructuredName(metaclass=record):
     base: str
     groups: tuple[tuple[StructuredName, ...], ...] = ()
+    __slots__ = ("_hash",)
 
     def __post_init__(self) -> None:
         if self.base != THING_BASE and not _IDENT_RE.match(self.base):
@@ -30,7 +30,7 @@ class StructuredName:
         if self.base == THING_BASE and self.groups:
             raise ValueError("owl:Thing takes no constituents")
         # Hashed once: names key every signature, substitution and closure.
-        # Not a field, so equality and repr do not see it.
+        # A slot, not a field, so equality and repr do not see it.
         object.__setattr__(self, "_hash", hash((self.base, self.groups)))
 
     def __hash__(self) -> int:

@@ -17,8 +17,7 @@ from .names import THING_BASE, StructuredName
 from .record import record
 
 
-@record
-class SigEntry:
+class SigEntry(metaclass=record):
     kind: EntityKind
     declared: bool
 

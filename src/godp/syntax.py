@@ -16,8 +16,7 @@ from .names import StructuredName
 from .record import record
 
 
-@record
-class SymbolParam:
+class SymbolParam(metaclass=record):
     kind: EntityKind
     name: StructuredName  # always plain
     optional: bool
@@ -29,8 +28,7 @@ class SymbolParam:
         return ((self.name, self.kind),)
 
 
-@record
-class OntologyParam:
+class OntologyParam(metaclass=record):
     frames: tuple[Frame, ...]
     optional: bool
     span: Span
@@ -44,22 +42,19 @@ class OntologyParam:
 Param = SymbolParam | OntologyParam
 
 
-@record
-class SymbolArg:
+class SymbolArg(metaclass=record):
     kind: EntityKind | None  # None for bare arguments
     name: StructuredName
     span: Span
 
 
-@record
-class OntologyArg:
+class OntologyArg(metaclass=record):
     name: str
     fit: tuple[tuple[StructuredName, StructuredName], ...]
     span: Span
 
 
-@record
-class OmittedArg:
+class OmittedArg(metaclass=record):
     span: Span
 
 
@@ -70,14 +65,12 @@ class OntologyExpr:
     __slots__ = ()
 
 
-@record
-class Basic(OntologyExpr):
+class Basic(OntologyExpr, metaclass=record):
     frames: tuple[Frame, ...]
     span: Span
 
 
-@record
-class Then(OntologyExpr):
+class Then(OntologyExpr, metaclass=record):
     """``parts[0] then parts[1] then ...``: right-associative extension.
     ``ops[i]`` is the span of the ``then`` between ``parts[i]`` and
     ``parts[i + 1]``; ``span`` is ``ops[0]``. A parenthesized part stays one
@@ -88,8 +81,7 @@ class Then(OntologyExpr):
     span: Span
 
 
-@record
-class AndExpr(OntologyExpr):
+class AndExpr(OntologyExpr, metaclass=record):
     """``parts[0] and parts[1] and ...``: left-associative union, with
     ``parts``, ``ops`` and ``span`` as in :class:`Then`."""
 
@@ -98,28 +90,24 @@ class AndExpr(OntologyExpr):
     span: Span
 
 
-@record
-class Instantiate(OntologyExpr):
+class Instantiate(OntologyExpr, metaclass=record):
     pattern: str
     args: tuple[Arg, ...]
     span: Span
 
 
-@record
-class Ref(OntologyExpr):
+class Ref(OntologyExpr, metaclass=record):
     name: str
     span: Span
 
 
-@record
-class OntologyDef:
+class OntologyDef(metaclass=record):
     name: str
     body: OntologyExpr
     span: Span
 
 
-@record
-class PatternDef:
+class PatternDef(metaclass=record):
     name: str
     params: tuple[Param, ...]
     body: OntologyExpr
@@ -129,8 +117,7 @@ class PatternDef:
 Item = OntologyDef | PatternDef
 
 
-@record
-class Library:
+class Library(metaclass=record):
     name: str
     items: tuple[Item, ...]
     span: Span

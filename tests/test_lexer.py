@@ -5,13 +5,16 @@ step per character, ``str.isalnum()`` for identifier tails. ``tokenize``
 must give the same kinds, values and spans, and fail with the same code,
 message and position, on the fixtures, on a generated library and on random
 text that includes non-ASCII letters, digits and numerals. The regular
-expression for identifier tails is also checked on every code point.
+expression for identifier tails is also checked on every code point, and
+the stream is checked to hold no object per token.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -206,3 +209,34 @@ texts = st.one_of(
 @example("%% comment\n  Foo: x")
 def test_random_text(text):
     assert actual(text) == reference_tokenize(text)
+
+
+class TestCompactStream:
+    """The stream holds no object per token: kinds are shared constants,
+    each spelling of a word is one ``str``, and offsets are machine
+    integers."""
+
+    def test_bytes_per_token(self):
+        # The 80-copy library: 46,643 tokens from 475 KB. A fresh str per
+        # word and an int per offset cost over 100 bytes a token; three
+        # shared references and one machine offset cost about 32.
+        text = _library_check_text()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tokens = tokenize(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tokens) > 40_000
+        assert peak / len(tokens) < 48
+
+    def test_equal_spellings_are_one_object(self):
+        tokens = tokenize(
+            "library Library ontology Person = Class: Person SubClassOf: hasPart some Person end"
+            " ontology Other = Person and Class: Other end"
+        )
+        first: dict[str, str] = {}
+        shared = [first.setdefault(value, value) is value for value in tokens.values]
+        assert all(shared)
+        assert tokens.values.count("Person") == 4 and tokens.values.count("ontology") == 2

@@ -1,9 +1,22 @@
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import godp
 from godp.axioms import Cardinality, DisjointClasses, EquivalentClasses, FunctionalProperty, Named
 from godp.diagnostics import Diagnostic, Span
+from godp.expansion import expand
 from godp.names import StructuredName, name
+from godp.parser import parse_library
+from godp.resolver import resolve
 from godp.syntax import Ref
+
+from tests.conftest import fixture_text
 
 
 def c(text):
@@ -81,3 +94,68 @@ class TestSchema:
         ax = FunctionalProperty(name("p"))
         assert FunctionalProperty._values(ax) == (name("p"),)
         assert Span._values(Span(1, 2)) == (1, 2, 1, 2)
+
+
+def record_types() -> set[type]:
+    """Every record class of the package."""
+    found = set()
+    for info in pkgutil.iter_modules(godp.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"godp.{info.name}")
+            found.update(
+                value for value in vars(module).values()
+                if isinstance(value, type) and "_fields" in value.__dict__ and value.__module__ == module.__name__
+            )
+    return found
+
+
+def record_nodes(*roots) -> list:
+    """The records reachable from ``roots`` through fields and tuples."""
+    found, stack = [], list(roots)
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tuple):
+            stack.extend(value)
+        elif hasattr(type(value), "_fields"):
+            found.append(value)
+            stack.extend(type(value)._values(value))
+    return found
+
+
+class TestSlots:
+    def test_every_record_type_is_slotted(self):
+        types = record_types()
+        assert len(types) == 40
+        assert [cls.__name__ for cls in types if cls.__dictoffset__] == []
+
+    def test_no_instance_has_a_dict(self):
+        text = fixture_text("role.gdol")
+        resolved = resolve(parse_library(text, "role.gdol"), "role.gdol")
+        result = expand(resolved, "ProfRoleOntology")
+        nodes = record_nodes(resolved.library, result.ontology.axioms, tuple(result.ontology.signature.items()))
+        assert len({type(node) for node in nodes}) > 20
+        assert [node for node in nodes if hasattr(node, "__dict__")] == []
+
+    def test_default_is_not_a_class_attribute(self):
+        # The default lives in the generated __init__; the class attribute
+        # of that name is the field's slot.
+        assert type(Span.__dict__["end_line"]).__name__ == "member_descriptor"
+        assert Span(1, 2).end_line == 1 and Diagnostic("error", "X", "m").notes == ()
+
+    def test_each_record_is_one_plain_class(self):
+        # The schema tables in godp.axioms are read from these subclass
+        # lists at import, so no stale class may linger until a GC pass.
+        assert {type(cls) for cls in record_types()} == {type}
+        src = Path(godp.__file__).resolve().parents[1]
+        code = (
+            "import gc; gc.disable(); from godp.axioms import AtomicAxiom, ClassExpr;"
+            " print(len(ClassExpr.__subclasses__()), len(AtomicAxiom.__subclasses__()))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout == "7 12\n"
