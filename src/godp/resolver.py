@@ -64,8 +64,11 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
     # Per pattern, its parameters and what its body uses: the plain parts of
     # the names in its blocks, and its ontology arguments with a fit; the
     # UnboundSymbol pass after cycle detection reads these instead of
-    # walking the body again.
+    # walking the body again. It searches what a pattern declares only for
+    # a pattern whose free names meet ``subjects``, the plain parts of every
+    # frame subject in the library: no search can bind any other name.
     uses: list[tuple[PatternDef, dict, set[StructuredName], list[OntologyArg]]] = []
+    subjects: set[StructuredName] = set()
     for item in lib.items:
         if item.name not in table or table[item.name] is not item:
             continue  # duplicate definition, already reported
@@ -103,14 +106,26 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
 
         for leaf in leaves(item.body):
             if isinstance(leaf, Basic):
+                for frame in leaf.frames:
+                    subjects |= _plain_parts(frame.subject)
                 if is_pattern:
                     try:
                         axioms = desugar_frames(leaf.frames)
                     except GodpError:
                         continue  # ill-formed frame; expansion reports it with location
+                    misused: set[StructuredName] = set()
                     for ax in axioms:
-                        for n, _ in referenced_kinds(ax):
+                        for n, kind in referenced_kinds(ax):
                             used |= _plain_parts(n)
+                            # A parameter used in the body keeps the kind its pattern declares.
+                            param_kind = in_scope.get(n)
+                            if param_kind is not None and param_kind is not kind and n not in misused:
+                                misused.add(n)
+                                report(
+                                    "KindMismatch",
+                                    f"{n} is a {param_kind} parameter of {item.name}, but is used as {kind}",
+                                    leaf.span,
+                                )
             elif isinstance(leaf, Ref):
                 target = bind(leaf.name, leaf.span)
                 if isinstance(target, PatternDef):
@@ -177,7 +192,7 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                 if target not in bound:
                     free |= _plain_parts(target)
         free = {n for n in free if n not in params and n.base != THING_BASE}
-        if free:
+        if not free.isdisjoint(subjects):
             for declared in declared_symbols(resolved, item.name):
                 free -= _plain_parts(declared)
                 free.discard(declared)

@@ -534,6 +534,24 @@ class TestCheck:
         assert code == 2
         assert "KindMismatch" in err
 
+    # A pattern body uses its Class parameter X as an object property: every
+    # command stops at the resolver, where the output was once wrong with exit 0.
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize("command", [["check"], ["flatten", "--target", "O"], ["obligations", "--target", "O"]])
+    def test_parameter_used_in_body_with_another_kind(self, capsys, tmp_path, command, json_flag):
+        path = write(
+            tmp_path,
+            "library L\npattern P [Class: X] = Class: A SubClassOf: X some A end\nontology O = P [Class: C] end\n",
+        )
+        code, out, err = run_cli([command[0], path, *command[1:], *json_flag], capsys)
+        assert (code, out) == (2, "")
+        message = "X is a Class parameter of P, but is used as ObjectProperty"
+        if json_flag:
+            diag = json.loads(err)
+            assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("KindMismatch", 2, 24, message)
+        else:
+            assert err == f"{path}:2:24: error: KindMismatch: {message}\n"
+
 
 class TestList:
     def test_role_signatures(self, capsys, fixtures_dir):

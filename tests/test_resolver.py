@@ -2,6 +2,7 @@ import gc
 
 import pytest
 
+import godp.resolver
 from godp.diagnostics import GodpError, Span
 from godp.expansion import expand
 from godp.parser import parse_library
@@ -130,6 +131,84 @@ class TestFreeSymbols:
         symbols = declared_symbols(resolved, "ThematicRoles")
         assert name("Role") in symbols
         assert name("rolePerformedBy") in symbols
+
+
+class TestBodyUseKinds:
+    """A parameter used in its pattern's body keeps the kind the pattern
+    declares; each misused name is reported once per block, at the block."""
+
+    def test_class_parameter_used_as_property(self):
+        text = (
+            "library L\npattern P [Class: X] = Class: A SubClassOf: X some A end\n"
+            "ontology O = P [Class: C] end\n"
+        )
+        resolved, codes = resolve_errors(text)
+        assert codes == ["KindMismatch"]
+        error = resolved.errors[0]
+        assert error.message == "X is a Class parameter of P, but is used as ObjectProperty"
+        assert (error.span.line, error.span.col) == (2, 24)
+
+    def test_once_per_block_and_name(self):
+        text = (
+            "library L pattern P [Class: X] [Class: Y] ="
+            " Class: A SubClassOf: X some A, X only Y, Y some A"
+            " then ObjectProperty: X end"
+        )
+        resolved, codes = resolve_errors(text)
+        assert codes == ["KindMismatch"] * 3
+        assert [(e.message.split()[0], e.span.col) for e in resolved.errors] == [("X", 45), ("Y", 45), ("X", 100)]
+
+    def test_ontology_parameter_symbol_used_with_another_kind(self):
+        text = "library L pattern P [ontology {ObjectProperty: r}] = Class: r end"
+        resolved, codes = resolve_errors(text)
+        assert codes == ["KindMismatch"]
+        assert "r is a ObjectProperty parameter of P, but is used as Class" == resolved.errors[0].message
+
+    def test_uses_of_the_declared_kind_and_constituents_pass(self):
+        text = (
+            "library L pattern P [Class: X] [ObjectProperty: p] ="
+            " Class: X SubClassOf: p some X ObjectProperty: r[X] Domain: X end"
+        )
+        _, codes = resolve_errors(text)
+        assert codes == []
+
+
+class TestUnboundSearch:
+    """The UnboundSymbol pass searches what a pattern reaches only for a
+    free name that some block of the library declares."""
+
+    @staticmethod
+    def count_searches(monkeypatch, text):
+        calls = []
+        search = godp.resolver.declared_symbols
+
+        def counted(resolved, item_name):
+            calls.append(item_name)
+            return search(resolved, item_name)
+
+        monkeypatch.setattr(godp.resolver, "declared_symbols", counted)
+        return resolve(parse_library(text)), calls
+
+    def test_no_search_for_a_name_no_block_declares(self, monkeypatch):
+        n = 300
+        text = "library L pattern P0 [Class: X] = Class: X end " + " ".join(
+            f"pattern P{i} [Class: X] = P{i - 1} [X] and Class: X SubClassOf: Y end" for i in range(1, n)
+        )
+        resolved, calls = self.count_searches(monkeypatch, text)
+        assert calls == []
+        assert [d.code for d in resolved.diagnostics] == ["UnboundSymbol"] * (n - 1)
+
+    def test_search_binds_a_declared_name(self, monkeypatch):
+        text = "library L ontology Base = Class: Y end pattern P [Class: X] = Base then Class: X SubClassOf: Y end"
+        resolved, calls = self.count_searches(monkeypatch, text)
+        assert calls == ["P"]
+        assert resolved.diagnostics == []
+
+    def test_name_declared_but_not_reached_still_searches(self, monkeypatch):
+        text = "library L ontology Elsewhere = Class: Y end pattern P [Class: X] = Class: X SubClassOf: Y end"
+        resolved, calls = self.count_searches(monkeypatch, text)
+        assert calls == ["P"]
+        assert [d.code for d in resolved.diagnostics] == ["UnboundSymbol"]
 
 
 class TestCycles:
