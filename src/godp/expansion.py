@@ -4,14 +4,14 @@ obligations.
 
 Expansion of an instantiation proceeds in this order: the argument list is
 checked against the parameter list (producing a substitution and, for
-ontology-valued arguments, proof obligations); every frame of the pattern
-body is desugared, so a malformed frame is reported before any part of the
-body is evaluated; then the body is evaluated under the substitution, left
-to right. In each block, axioms mentioning an omitted optional parameter
-are deleted whole and the rest are substituted; a nested instantiation
-whose argument mentions an omitted name is deleted whole, and otherwise
-its arguments are substituted and it is expanded recursively.
-Parameterized names are stratified in a separate final pass.
+ontology-valued arguments, proof obligations); then the body is evaluated
+under the substitution, left to right. Each block is desugared when it is
+first evaluated, which cannot fail: the parser has checked its frames. In
+each block, axioms mentioning an omitted optional parameter are deleted
+whole and the rest are substituted; a nested instantiation whose argument
+mentions an omitted name is deleted whole, and otherwise its arguments are
+substituted and it is expanded recursively. Parameterized names are
+stratified in a separate final pass.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .syntax import (
     SymbolArg,
     SymbolParam,
     Then,
-    leaves,
 )
 
 
@@ -245,22 +244,20 @@ def check_instantiation(
 
 class Expander:
     """Expands ontologies over one immutable resolved library without errors;
-    named-ontology results are memoized, each Basic node is desugared once
-    and built into an ontology once per substitution, while every
-    instantiation site is still checked and its nested sites walked."""
+    named-ontology results are memoized, each Basic node is desugared when
+    first evaluated and built into an ontology once per substitution, while
+    every instantiation site is still checked and its nested sites walked."""
 
     def __init__(self, resolved: ResolvedLibrary):
         self.resolved = resolved
         self._memo: dict[str, tuple[FlatOntology, tuple[Obligation, ...]]] = {}
         # id of a Basic node -> its axioms. The nodes belong to the resolved
         # library, which this expander keeps alive, so no id is reused.
-        self._desugared: dict[int, tuple[AtomicAxiom, ...]] = {}
+        self._axioms: dict[int, tuple[AtomicAxiom, ...]] = {}
         # (id of a Basic node, site substitution or None) -> its ontology,
         # a pure function of the two. A block raises no obligation, and an
         # error is not stored, so it is raised again at the next site.
         self._blocks: dict[tuple[int, Substitution | None], FlatOntology] = {}
-        # Patterns whose body blocks are all desugared without an error.
-        self._desugared_patterns: set[str] = set()
 
     def expand_item(self, name: str) -> tuple[FlatOntology, tuple[Obligation, ...]]:
         if name in self._memo:
@@ -279,7 +276,9 @@ class Expander:
             key = (id(expr), subst)
             onto = self._blocks.get(key)
             if onto is None:
-                axioms = self._desugar(expr)
+                axioms = self._axioms.get(id(expr))
+                if axioms is None:
+                    axioms = self._axioms[id(expr)] = tuple(desugar_frames(expr.frames))
                 if subst is not None:
                     axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)
                 onto = self._blocks[key] = FlatOntology.from_axioms(axioms, expr.span)
@@ -307,23 +306,11 @@ class Expander:
                     pattern, args, flatten=lambda name: self.expand_item(name)[0], span=expr.span
                 )
                 obligations.extend(obs)
-                if pattern.name not in self._desugared_patterns:
-                    for leaf in leaves(pattern.body):
-                        if isinstance(leaf, Basic):
-                            self._desugar(leaf)
-                    self._desugared_patterns.add(pattern.name)
                 return self._eval(pattern.body, obligations, site_subst)
             except GodpError as exc:
                 note = Diagnostic("note", exc.code, f"while expanding instantiation of {expr.pattern!r}", expr.span)
                 raise exc.with_note(note) from None
         raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
-
-    def _desugar(self, basic: Basic) -> tuple[AtomicAxiom, ...]:
-        """The axioms of a Basic node, desugared at its first use only."""
-        axioms = self._desugared.get(id(basic))
-        if axioms is None:
-            axioms = self._desugared[id(basic)] = tuple(desugar_frames(basic.frames))
-        return axioms
 
 
 def _substitute_args(args: tuple, subst: Substitution) -> tuple | None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .axioms import (
     EXPR,
     SECTION_ITEM_ROLES,
+    SECTIONS,
     AllValuesFrom,
     And,
     Cardinality,
@@ -113,6 +114,14 @@ class _Parser:
             "UnsupportedConstruct",
             f"'{self.value}:' is outside the supported subset",
             self.span(self.pos),
+            self.file,
+        )
+
+    def unsupported_section(self, section: str, kind: EntityKind, at: int) -> GodpError:
+        return GodpError(
+            "UnsupportedConstruct",
+            f"section {section!r} is not supported in a {kind} frame",
+            self.span(at),
             self.file,
         )
 
@@ -223,15 +232,23 @@ class _Parser:
         while self.kind == SECTION_KW:
             keyword = self.value
             st = self.advance()
+            section_kind, types = SECTIONS[keyword]
+            if section_kind is not kind:
+                # Not a section of this frame kind (DataProperty frames have none).
+                raise self.unsupported_section(keyword, kind, st)
             roles = SECTION_ITEM_ROLES[keyword]
             items = [self.parse_section_item(roles)]
             while self.kind == COMMA:
                 self.advance()
                 items.append(self.parse_section_item(roles))
-            sections.append(Section(keyword, tuple(items), self.span(st)))
+            for item in () if roles else items:
+                # In a constant-payload section (Characteristics) each item picks the axiom type.
+                if item not in types:
+                    raise self.unsupported_section(f"{keyword}: {item}", kind, st)
+            sections.append(Section(keyword, tuple(items)))
         if self.kind == UNSUPPORTED_KW:
             raise self.unsupported()
-        return Frame(kind, subject, tuple(sections), self.span(t))
+        return Frame(kind, subject, tuple(sections))
 
     def parse_section_item(self, roles: tuple):
         """One comma-separated section item, shaped as ``roles`` says (see
@@ -242,11 +259,11 @@ class _Parser:
         return values[0] if len(values) == 1 else tuple(values)
 
     def parse_basic(self) -> Basic:
+        t = self.pos  # a block's span is its first frame keyword's
         frames = [self.parse_frame()]
         while self.kind == FRAME_KW:
             frames.append(self.parse_frame())
-        # A block's span is its first frame's: the same token.
-        return Basic(tuple(frames), frames[0].span)
+        return Basic(tuple(frames), self.span(t))
 
     # -- ontology expressions ---------------------------------------------------
 

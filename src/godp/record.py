@@ -3,12 +3,12 @@
 ``record`` is the metaclass of a value type, ``class Span(metaclass=record)``.
 It gives the class a field-wise ``__init__``, ``__eq__``, ``__hash__`` and
 ``repr``, and refuses assignment and deletion; one ``exec`` compiles its
-``__init__``, ``__eq__`` and ``__hash__``. The fields are the class's own
-annotations, in order, a class-level value is a field's default, and a
-method the class defines itself is kept. ``record`` also sets ``_fields``,
-the field names, and ``_values``, a getter of the field tuple: call it
-through the class, as ``type(x)._values(x)``, since an instance binds a
-one-field class's getter.
+``__init__``, ``__eq__`` and ``__hash__`` under the file name ``<record
+NAME>``, which a traceback shows. The fields are the class's own annotations,
+in order, a class-level value is a field's default, and a method the class
+defines itself is kept. ``record`` also sets ``_fields``, the field names,
+and ``_values``, a getter of the field tuple: call it through the class, as
+``type(x)._values(x)``, since an instance binds a one-field class's getter.
 
 The fields become ``__slots__`` before the class is made, so an instance
 has no ``__dict__``; a class adds slots that are not fields by naming them
@@ -54,7 +54,7 @@ def record(name: str, bases: tuple, body: dict) -> type:
         f"    return hash(({mine}))\n"
     )
     namespace = {"_defaults": defaults, "_setattr": object.__setattr__}
-    exec(source, namespace)
+    exec(compile(source, f"<record {name}>", "exec"), namespace)
     namespace.update(__repr__=_repr, __setattr__=_frozen, __delattr__=_frozen)
     for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         if method not in cls.__dict__:

@@ -11,7 +11,7 @@ patterns, to themselves — self-reference then surfaces as a cycle).
 from __future__ import annotations
 
 from .axioms import Declaration, mentions, referenced_kinds
-from .diagnostics import Diagnostic, GodpError, Span
+from .diagnostics import Diagnostic, Span
 from .frames import desugar_frames
 from .names import THING_BASE, StructuredName
 from .syntax import (
@@ -109,12 +109,8 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                 for frame in leaf.frames:
                     subjects |= _plain_parts(frame.subject)
                 if is_pattern:
-                    try:
-                        axioms = desugar_frames(leaf.frames)
-                    except GodpError:
-                        continue  # ill-formed frame; expansion reports it with location
                     misused: set[StructuredName] = set()
-                    for ax in axioms:
+                    for ax in desugar_frames(leaf.frames):
                         for n, kind in referenced_kinds(ax):
                             used |= _plain_parts(n)
                             # A parameter used in the body keeps the kind its pattern declares.
@@ -220,11 +216,7 @@ def _check_pattern(item: PatternDef, report) -> None:
 
     for param in item.params:
         if isinstance(param, OntologyParam):
-            try:
-                axioms = desugar_frames(param.frames)
-            except GodpError as exc:
-                report(exc.code, exc.message, exc.span or param.span)
-                continue
+            axioms = desugar_frames(param.frames)
             declared = {n for n, _ in param.symbols}
             for ax in axioms:
                 if isinstance(ax, Declaration):

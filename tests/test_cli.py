@@ -508,6 +508,15 @@ class TestInternalError:
         # The location is the innermost frame's file name and line, without its directory.
         assert re.search(r"RecursionError in \w+\.py:\d+: ", line)
 
+    def test_deep_class_expression_names_the_record(self, tmp_path):
+        # 493 nested `not`s overflow the stack in a method that record
+        # generated; its file name names the record class.
+        path = write(tmp_path, "library L ontology O = Class: A SubClassOf: " + "not " * 493 + "B end")
+        proc = subprocess.run([sys.executable, "-m", "godp", "check", path], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.startswith(f"{path}: error: InternalError: RecursionError in ")
+        assert re.search(r"RecursionError in <record \w+>:\d+: ", proc.stderr)
+
 
 class TestCheck:
     def test_role_library_passes(self, capsys, fixtures_dir):
@@ -551,6 +560,29 @@ class TestCheck:
             assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("KindMismatch", 2, 24, message)
         else:
             assert err == f"{path}:2:24: error: KindMismatch: {message}\n"
+
+    # A section its frame kind lacks is an error where the pattern is written:
+    # reported once, under no note, by every command, however many targets
+    # reach it.
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize(
+        "command", [["list"], ["check"], ["flatten", "--target", "O1"], ["obligations", "--target", "O1"]]
+    )
+    def test_malformed_pattern_reported_once(self, capsys, tmp_path, command, json_flag):
+        path = write(
+            tmp_path,
+            "library L\npattern R [Class: X] = Class: X Domain: B end\n"
+            "ontology O1 = R [Class: A] end\nontology O2 = R [Class: C] end\nontology O3 = O1 and O2 end\n",
+        )
+        code, out, err = run_cli([command[0], path, *command[1:], *json_flag], capsys)
+        assert (code, out) == (1, "")
+        message = "section 'Domain' is not supported in a Class frame"
+        if json_flag:
+            diag = json.loads(err)
+            assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("UnsupportedConstruct", 2, 33, message)
+            assert "notes" not in diag
+        else:
+            assert err == f"{path}:2:33: error: UnsupportedConstruct: {message}\n"
 
 
 class TestList:

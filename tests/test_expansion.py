@@ -733,9 +733,9 @@ class TestDeterminism:
 
 class TestBodyEvaluation:
     def test_body_desugared_before_nested_instantiation_checked(self):
-        # Q's FitTargetUndeclared, found only at the site, comes first in the
-        # body, but every Basic block of a body is desugared before any part
-        # of it is evaluated.
+        # Q's FitTargetUndeclared, found only at the site, comes first in P's
+        # body, but P's second block has a section its frame kind lacks: the
+        # parser rejects it, once and under no site's note.
         text = (
             "library L ontology O = Class: b end "
             "pattern Q [ontology {Class: a}] = Class: Z end "
@@ -743,10 +743,10 @@ class TestBodyEvaluation:
             "ontology T = P [Class: K] end"
         )
         with pytest.raises(GodpError) as exc:
-            expand(resolve_text(text), "T")
+            parse_library(text)
         assert exc.value.code == "UnsupportedConstruct"
         assert exc.value.message == "section 'Domain' is not supported in a Class frame"
-        assert [n.message for n in exc.value.notes] == ["while expanding instantiation of 'P'"]
+        assert exc.value.notes == ()
 
     def test_instantiation_pruned_inside_then_chain(self):
         text = (
@@ -811,12 +811,12 @@ class TestLibraryApiFile:
                 3,
             ),
             ("ontology O = Class: A and ObjectProperty: A end", 1),  # raised in union
-            ("ontology O = Class: A Domain: B end", 1),  # raised in desugaring
+            ("ontology O = Class: A Domain: B end", 1),  # raised in parsing
         ],
     )
     def test_expand_errors_carry_the_file(self, body, lines):
-        resolved = resolve(parse_library(f"library L {body}", "lib.gdol"), "lib.gdol")
         with pytest.raises(GodpError) as exc:
+            resolved = resolve(parse_library(f"library L {body}", "lib.gdol"), "lib.gdol")
             expand(resolved, "O", "lib.gdol")
         printed = str(exc.value).split("\n")
         assert len(printed) == lines

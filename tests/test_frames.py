@@ -73,21 +73,28 @@ class TestUnsupported:
         assert exc.value.code == "UnsupportedConstruct"
         assert exc.value.span is not None
 
+    # A section its frame kind lacks, or a characteristic without an axiom
+    # type, is rejected by the parser at the section keyword.
     def test_wrong_section_for_frame_kind(self):
-        frames = parse_frames("Class: X Domain: Y")
         with pytest.raises(GodpError) as exc:
-            desugar_frames(frames)
+            parse_frames("Class: X Domain: Y")
         assert exc.value.code == "UnsupportedConstruct"
         assert "Domain" in exc.value.message
 
     def test_dataproperty_sections_rejected(self):
-        frames = parse_frames("DataProperty: d Domain: X")
         with pytest.raises(GodpError) as exc:
-            desugar_frames(frames)
+            parse_frames("DataProperty: d Domain: X")
         assert exc.value.code == "UnsupportedConstruct"
 
     def test_unknown_characteristic(self):
-        frames = parse_frames("ObjectProperty: p Characteristics: Transitive")
         with pytest.raises(GodpError) as exc:
-            desugar_frames(frames)
+            parse_frames("ObjectProperty: p Characteristics: Transitive")
         assert exc.value.code == "UnsupportedConstruct"
+
+    def test_every_characteristic_is_checked(self):
+        with pytest.raises(GodpError) as exc:
+            parse_frames("ObjectProperty: p Characteristics: Functional, Transitive")
+        assert exc.value.message == (
+            "section 'Characteristics: Transitive' is not supported in a ObjectProperty frame"
+        )
+        assert (exc.value.span.line, exc.value.span.col) == (1, 19)

@@ -6,8 +6,7 @@ import pytest
 from godp.axioms import EntityKind
 from godp.diagnostics import GodpError, Span
 from godp.expansion import expand
-from godp.frames import Frame, Section
-from godp.lexer import FRAME_KW, IDENT, KEYWORD, LBRACKET, SECTION_KW
+from godp.lexer import FRAME_KW, IDENT, KEYWORD, LBRACKET
 from godp.names import name
 from godp.parser import parse_library
 from godp.resolver import resolve
@@ -250,8 +249,6 @@ SPAN_TOKENS = {
     Ref: (IDENT, None),
     Instantiate: (IDENT, None),
     Basic: (FRAME_KW, None),
-    Frame: (FRAME_KW, None),
-    Section: (SECTION_KW, None),
 }
 OPERATORS = {Then: "then", AndExpr: "and"}
 
@@ -273,8 +270,8 @@ def kept_spans(node):
             elif t in SPAN_TOKENS:
                 kind, value = SPAN_TOKENS[t]
                 if value is None:
-                    value = {Ref: "name", Instantiate: "pattern", Section: "keyword"}.get(t)
-                    value = getattr(n, value) if value else (n.frames[0] if t is Basic else n).kind.value
+                    value = {Ref: "name", Instantiate: "pattern"}.get(t)
+                    value = getattr(n, value) if value else n.frames[0].kind.value
                 out.append((t, n.span, kind, value))
             stack.extend(getattr(n, f) for f in t._fields if f not in ("span", "ops"))
     return out
@@ -312,7 +309,7 @@ class TestWorkCount:
         monkeypatch.setattr(Span, "__post_init__", counting_span)
         library = parse_library(text)
         assert len(library.items) == 1600
-        # 15,441 before the token stream: one per kept span, Basic nodes
-        # included; a Basic now shares its first frame's span.
-        assert counts["Span"] <= 15_441
+        # One per kept span, Basic nodes included; frames and sections keep
+        # none, since the parser checks their sections itself.
+        assert counts["Span"] <= 9_441
         assert counts["Span"] == len({id(span) for _, span, _, _ in kept_spans(library)})
