@@ -22,8 +22,6 @@ from .expansion import (
     Obligation,
     Substitution,
     apply_substitution,
-    check_instantiation,
-    conformance_check,
     expand,
     prune_omitted,
     stratify_ontology,
@@ -51,8 +49,6 @@ __all__ = [
     "Substitution",
     "apply_substitution",
     "axioms_equal",
-    "check_instantiation",
-    "conformance_check",
     "desugar_frames",
     "detect_cycles",
     "emit_manchester",

@@ -1,33 +1,28 @@
-"""Instantiation semantics: kind checking, substitution, optional-argument
-pruning, combination, recursive flattening, stratification, and proof
-obligations.
+"""Instantiation semantics: substitution, conformance of ontology arguments,
+optional-argument pruning, combination, recursive flattening,
+stratification, and proof obligations.
 
-Expansion of an instantiation proceeds in this order: the argument list is
-checked against the parameter list (producing a substitution and, for
-ontology-valued arguments, proof obligations); then the body is evaluated
-under the substitution, left to right. Each block is desugared when it is
-first evaluated, which cannot fail: the parser has checked its frames. In
-each block, axioms mentioning an omitted optional parameter are deleted
-whole and the rest are substituted; a nested instantiation whose argument
-mentions an omitted name is deleted whole, and otherwise its arguments are
-substituted and it is expanded recursively. Parameterized names are
-stratified in a separate final pass.
+The resolver has checked each argument against its parameter, once, where it
+is written. Expansion of an instantiation proceeds in this order: the site's
+arguments build a substitution, and each ontology-valued argument is
+flattened and checked for conformance, which yields proof obligations; then
+the body is evaluated under the substitution, left to right. Each block is
+desugared when it is first evaluated, which cannot fail: the parser has
+checked its frames. In each block, axioms mentioning an omitted optional
+parameter are deleted whole and the rest are substituted; a nested
+instantiation whose argument mentions an omitted name is deleted whole, and
+otherwise its arguments are substituted and it is expanded recursively.
+Parameterized names are stratified in a separate final pass.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .axioms import (
-    AtomicAxiom,
-    Declaration,
-    EntityKind,
-    mentions,
-    substitute_axiom,
-)
+from .axioms import AtomicAxiom, Declaration, mentions, substitute_axiom
 from .diagnostics import Diagnostic, GodpError, Span
 from .frames import desugar_frames
-from .names import THING_BASE, StructuredName, stratify_name, substitute_name
+from .names import StructuredName, stratify_name, substitute_name
 # ``combine`` is no longer called here, but stays importable from this module
 # for the benchmark's tracer (bench/tracing.py), which wraps it here.
 from .ontology import FlatOntology, combine, union  # noqa: F401
@@ -110,16 +105,9 @@ def conformance_check(
 ) -> tuple[dict[StructuredName, StructuredName], list[Obligation]]:
     """Map every parameter-signature symbol into the argument ontology and
     return the translated requirement axioms as one proof obligation
-    (entailment is never checked here)."""
-    sig_names = {n for n, _ in param.symbols}
+    (entailment is never checked here). Each fit source is a parameter
+    symbol: the resolver has checked it."""
     explicit = dict(arg.fit)
-    for source in explicit:
-        if source not in sig_names:
-            raise GodpError(
-                "UnknownFitSymbol",
-                f"fit maps {source}, which is not a symbol of the parameter (argument {position} of {pattern})",
-                span,
-            )
     full_fit: dict[StructuredName, StructuredName] = {}
     for n, kind in param.symbols:
         target = explicit.get(n, n)
@@ -156,79 +144,37 @@ def conformance_check(
     return full_fit, obligations
 
 
-def check_instantiation(
-    pattern: PatternDef,
-    args,
-    *,
-    flatten=None,
-    span: Span | None = None,
-) -> tuple[Substitution, list[Obligation]]:
-    """Check each argument against its parameter and build the substitution.
+def check_instantiation(pattern: PatternDef, args, *, flatten=None) -> tuple[Substitution, list[Obligation]]:
+    """Build the substitution of one instantiation site and check how its
+    argument ontologies conform.
 
+    ``args`` are the site's arguments, under the enclosing site's
+    substitution, of a resolved library: the resolver has checked each
+    written argument against its parameter, which no substitution undoes.
     ``flatten`` maps an ontology name to its FlatOntology; it is only
     needed when the pattern has ontology-valued parameters.
     """
-    if len(args) != len(pattern.params):
-        raise GodpError(
-            "ArityMismatch",
-            f"pattern {pattern.name!r} expects {len(pattern.params)} argument(s), got {len(args)}",
-            span,
-        )
     mapping: dict[StructuredName, StructuredName] = {}
     omitted: set[StructuredName] = set()
     obligations: list[Obligation] = []
 
     for position, (param, arg) in enumerate(zip(pattern.params, args), start=1):
         if isinstance(arg, OmittedArg):
-            if not param.optional:
-                named = f" ({param.name})" if isinstance(param, SymbolParam) else ""
-                raise GodpError(
-                    "MissingMandatoryArgument",
-                    f"argument {position} of {pattern.name}{named} is mandatory",
-                    arg.span or span,
-                )
             omitted.update(n for n, _ in param.symbols)
         elif isinstance(param, SymbolParam):
-            if isinstance(arg, OntologyArg):
-                raise GodpError(
-                    "OntologyArgForSymbolParam",
-                    f"argument {position} of {pattern.name} must be a single"
-                    f" {param.kind} symbol, not an ontology",
-                    arg.span or span,
-                )
-            if arg.kind is not None and arg.kind is not param.kind:
-                raise GodpError(
-                    "KindMismatch",
-                    f"argument {position} of {pattern.name}: expected"
-                    f" {param.kind}, got {arg.kind}",
-                    arg.span or span,
-                )
-            if arg.name.base == THING_BASE and param.kind is not EntityKind.CLASS:
-                raise GodpError(
-                    "KindMismatch",
-                    f"argument {position} of {pattern.name}: expected"
-                    f" {param.kind}, got owl:Thing",
-                    arg.span or span,
-                )
             mapping[param.name] = arg.name
         else:
             if isinstance(arg, SymbolArg):
-                if arg.kind is not None or not arg.name.is_plain:
-                    raise GodpError(
-                        "SymbolArgForOntologyParam",
-                        f"argument {position} of {pattern.name} must name an ontology",
-                        arg.span or span,
-                    )
                 arg = OntologyArg(arg.name.base, (), arg.span)
             if flatten is None:
                 raise GodpError(
                     "UnresolvedReference",
                     f"cannot flatten ontology argument {arg.name!r} outside a library",
-                    arg.span or span,
+                    arg.span,
                 )
             arg_flat = flatten(arg.name)
             fit, obs = conformance_check(
-                param, arg, arg_flat, pattern=pattern.name, position=position, span=arg.span or span
+                param, arg, arg_flat, pattern=pattern.name, position=position, span=arg.span
             )
             mapping.update(fit)
             obligations.extend(obs)
@@ -246,7 +192,8 @@ class Expander:
     """Expands ontologies over one immutable resolved library without errors;
     named-ontology results are memoized, each Basic node is desugared when
     first evaluated and built into an ontology once per substitution, while
-    every instantiation site is still checked and its nested sites walked."""
+    every instantiation site still builds its substitution, checks how its
+    argument ontologies conform, and has its nested sites walked."""
 
     def __init__(self, resolved: ResolvedLibrary):
         self.resolved = resolved
@@ -280,7 +227,10 @@ class Expander:
                 if axioms is None:
                     axioms = self._axioms[id(expr)] = tuple(desugar_frames(expr.frames))
                 if subst is not None:
-                    axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)
+                    try:
+                        axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)
+                    except GodpError as exc:  # owl:Thing replacing a base; names carry no span
+                        raise GodpError(exc.code, exc.message, expr.span) from None
                 onto = self._blocks[key] = FlatOntology.from_axioms(axioms, expr.span)
             return onto
         if isinstance(expr, Ref):
@@ -302,9 +252,7 @@ class Expander:
                 return FlatOntology.from_axioms((), expr.span)
             pattern = self.resolved.table[expr.pattern]
             try:
-                site_subst, obs = check_instantiation(
-                    pattern, args, flatten=lambda name: self.expand_item(name)[0], span=expr.span
-                )
+                site_subst, obs = check_instantiation(pattern, args, flatten=lambda name: self.expand_item(name)[0])
                 obligations.extend(obs)
                 return self._eval(pattern.body, obligations, site_subst)
             except GodpError as exc:
@@ -320,14 +268,17 @@ def _substitute_args(args: tuple, subst: Substitution) -> tuple | None:
     mapping = subst.as_dict()
     out = []
     for arg in args:
-        if isinstance(arg, SymbolArg):
-            if subst.omitted and arg.name.closure() & subst.omitted:
-                return None
-            arg = SymbolArg(arg.kind, substitute_name(arg.name, mapping), arg.span)
-        elif isinstance(arg, OntologyArg):
-            if any(t.closure() & subst.omitted for _, t in arg.fit):
-                return None
-            arg = OntologyArg(arg.name, tuple((s, substitute_name(t, mapping)) for s, t in arg.fit), arg.span)
+        try:
+            if isinstance(arg, SymbolArg):
+                if subst.omitted and arg.name.closure() & subst.omitted:
+                    return None
+                arg = SymbolArg(arg.kind, substitute_name(arg.name, mapping), arg.span)
+            elif isinstance(arg, OntologyArg):
+                if any(t.closure() & subst.omitted for _, t in arg.fit):
+                    return None
+                arg = OntologyArg(arg.name, tuple((s, substitute_name(t, mapping)) for s, t in arg.fit), arg.span)
+        except GodpError as exc:  # owl:Thing replacing a base; names carry no span
+            raise GodpError(exc.code, exc.message, arg.span) from None
         out.append(arg)
     return tuple(out)
 

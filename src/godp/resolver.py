@@ -1,16 +1,19 @@
-"""Name binding, arity checking, definition-order checks, and cycle detection.
+"""Name binding, argument checking, definition-order checks, and cycle detection.
 
 The only binder, so ``references`` is the whole item graph; a pattern's
-parameters are in scope in its body, and never denote an ontology. Names
-bind against the whole library table so that cycle detection can run even
-in the presence of forward references; a forward reference is still an
-error in its own right (definitions may only refer to earlier items or, for
-patterns, to themselves — self-reference then surfaces as a cycle).
+parameters are in scope in its body, and never denote an ontology. Each
+argument is checked against its parameter once, where it is written, in a
+pattern without a host too; only how an argument ontology conforms depends
+on the site, and is left to the expander. Names bind against the whole
+library table so that cycle detection can run even in the presence of
+forward references; a forward reference is still an error in its own right
+(definitions may only refer to earlier items or, for patterns, to
+themselves — self-reference then surfaces as a cycle).
 """
 
 from __future__ import annotations
 
-from .axioms import Declaration, mentions, referenced_kinds
+from .axioms import Declaration, EntityKind, mentions, referenced_kinds
 from .diagnostics import Diagnostic, Span
 from .frames import desugar_frames
 from .names import THING_BASE, StructuredName
@@ -138,36 +141,58 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                 elif target is not None:
                     report("NotAPattern", f"{leaf.pattern!r} is an ontology, not a pattern", leaf.span)
                 for position, arg in enumerate(leaf.args, start=1):
-                    param = params[position - 1] if position <= len(params) else None
                     if isinstance(arg, OntologyArg):
                         check_ontology_arg(arg.name, arg.span)
                         if arg.fit:
                             fitted.append(arg)
-                    elif isinstance(arg, OmittedArg):
+                    if position > len(params):
                         continue
+                    # At most one rule per argument, the first it breaks. None
+                    # depends on a site's substitution: that changes no kind or
+                    # fit, omits nothing, and gives owl:Thing only to a Class
+                    # parameter, which the last symbol rule keeps in kind.
+                    param = params[position - 1]
+                    at = f"argument {position} of {leaf.pattern}"
+                    if isinstance(arg, OmittedArg):
+                        if not param.optional:
+                            named = f" ({param.name})" if isinstance(param, SymbolParam) else ""
+                            report("MissingMandatoryArgument", f"{at}{named} is mandatory", arg.span)
                     elif isinstance(param, SymbolParam):
-                        # A parameter passed on keeps the kind its pattern declares.
-                        kind = in_scope.get(arg.name)
-                        expected = arg.kind or param.kind
-                        if kind is not None and kind is not expected:
+                        if isinstance(arg, OntologyArg):
+                            report(
+                                "OntologyArgForSymbolParam",
+                                f"{at} must be a single {param.kind} symbol, not an ontology",
+                                arg.span,
+                            )
+                        elif arg.kind is not None and arg.kind is not param.kind:
+                            report("KindMismatch", f"{at}: expected {param.kind}, got {arg.kind}", arg.span)
+                        elif arg.name.base == THING_BASE and param.kind is not EntityKind.CLASS:
+                            report("KindMismatch", f"{at}: expected {param.kind}, got owl:Thing", arg.span)
+                        elif in_scope.get(arg.name, param.kind) is not param.kind:
+                            # A parameter passed on keeps the kind its pattern declares.
                             report(
                                 "KindMismatch",
-                                f"argument {position} of {leaf.pattern}: expected {expected},"
-                                f" but {arg.name} is a {kind} parameter of {item.name}",
+                                f"{at}: expected {param.kind},"
+                                f" but {arg.name} is a {in_scope[arg.name]} parameter of {item.name}",
                                 arg.span,
                             )
-                    elif isinstance(param, OntologyParam) and arg.kind is None and arg.name.is_plain:
-                        # Bare name in an ontology-parameter position: an
-                        # ontology reference, not a symbol, nor a parameter.
-                        if arg.name in in_scope:
-                            report(
-                                "SymbolArgForOntologyParam",
-                                f"argument {position} of {leaf.pattern} must name an ontology,"
-                                f" not the parameter {arg.name} of {item.name}",
-                                arg.span,
-                            )
-                        else:
-                            check_ontology_arg(arg.name.base, arg.span)
+                    elif isinstance(arg, OntologyArg):
+                        unknown = [s for s, _ in arg.fit if s not in dict(param.symbols)]
+                        if unknown:
+                            message = f"fit maps {unknown[0]}, which is not a symbol of the parameter ({at})"
+                            report("UnknownFitSymbol", message, arg.span)
+                    elif arg.kind is not None or not arg.name.is_plain:
+                        report("SymbolArgForOntologyParam", f"{at} must name an ontology", arg.span)
+                    elif arg.name in in_scope:
+                        # A bare name at an ontology parameter is an ontology
+                        # reference, not a symbol, nor a parameter.
+                        report(
+                            "SymbolArgForOntologyParam",
+                            f"{at} must name an ontology, not the parameter {arg.name} of {item.name}",
+                            arg.span,
+                        )
+                    else:
+                        check_ontology_arg(arg.name.base, arg.span)
 
         if is_pattern:
             _check_pattern(item, report)

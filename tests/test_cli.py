@@ -428,19 +428,25 @@ class TestErrorPaths:
             f"site: {path}:4:26\ntarget: X\nfit: A |-> A\nfit: C |-> C\naxiom: Class: C SubClassOf: A\n"
         )
 
+    # Located at the block, or the argument, whose name X[A] is substituted.
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
-    def test_owl_thing_substituted_for_a_base(self, capsys, tmp_path, json_flag):
+    @pytest.mark.parametrize(
+        "body, col", [("Class: X[A]", 24), ("Q [Class: X[A]]", 26), ("R [N fit A |-> X[A]]", 26)]
+    )
+    def test_owl_thing_substituted_for_a_base(self, capsys, tmp_path, json_flag, body, col):
         path = write(
             tmp_path,
-            "library L\npattern P [Class: X] = Class: X[A] end\nontology O = P [Class: owl:Thing] end\n",
+            "library L ontology N = Class: A end pattern Q [Class: c] = Class: c end"
+            " pattern R [ontology {Class: A}] = Class: A end\n"
+            f"pattern P [Class: X] = {body} end\nontology O = P [Class: owl:Thing] end\n",
         )
         message = "owl:Thing cannot replace X in X[A]: it takes no constituents"
         note = "while expanding instantiation of 'P'"
         expected = (
-            json.dumps({"code": "KindMismatch", "col": None, "file": path, "line": None,
+            json.dumps({"code": "KindMismatch", "col": col, "file": path, "line": 2,
                         "message": message, "notes": [note], "severity": "error"}, sort_keys=True)
             if json_flag
-            else f"{path}: error: KindMismatch: {message}\n{path}:3:14: note: {note}"
+            else f"{path}:2:{col}: error: KindMismatch: {message}\n{path}:3:14: note: {note}"
         )
         for command in (
             ["check", path],
@@ -583,6 +589,38 @@ class TestCheck:
             assert "notes" not in diag
         else:
             assert err == f"{path}:2:33: error: UnsupportedConstruct: {message}\n"
+
+
+    # A bad argument is an error where it is written: reported once, under no
+    # note, however many targets reach it. Like every resolver error, it
+    # stops every target, Fine too, which does not reach it.
+    BAD_ARGUMENT = (
+        "library L\npattern Q [Class: A] = Class: A end\npattern P [Class: X] = Q [] end\n"
+        "ontology O1 = P [Class: B] end\nontology O2 = P [Class: C] end\nontology O3 = O1 and O2 end\n"
+        "ontology Fine = Class: Z end\n"
+    )
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["flatten", "--target", "O1"], ["obligations", "--target", "O1"], ["flatten", "--target", "Fine"]],
+    )
+    def test_bad_argument_reported_once(self, capsys, tmp_path, command, json_flag):
+        path = write(tmp_path, self.BAD_ARGUMENT)
+        code, out, err = run_cli([command[0], path, *command[1:], *json_flag], capsys)
+        assert (code, out) == (2, "")
+        message = "argument 1 of Q (A) is mandatory"
+        if json_flag:
+            diag = json.loads(err)
+            assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("MissingMandatoryArgument", 3, 26, message)
+            assert "notes" not in diag
+        else:
+            assert err == f"{path}:3:26: error: MissingMandatoryArgument: {message}\n"
+
+    def test_bad_argument_is_listed(self, capsys, tmp_path):
+        code, out, err = run_cli(["list", write(tmp_path, self.BAD_ARGUMENT)], capsys)
+        assert (code, err) == (0, "")
+        assert "pattern P [Class X]" in out.splitlines()
 
 
 class TestList:

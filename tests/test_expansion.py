@@ -70,6 +70,12 @@ def get_pattern(resolved, name_):
     return resolved.table[name_]
 
 
+def resolver_errors(text):
+    """The resolver's errors on ``text``: code, message and position."""
+    resolved = resolve(parse_library(text))
+    return [(d.code, d.message, (d.span.line, d.span.col)) for d in resolved.errors]
+
+
 # ---------------------------------------------------------------------------
 # Driving: two styles, one ontology
 # ---------------------------------------------------------------------------
@@ -127,34 +133,33 @@ class TestCheckInstantiation:
         }
         assert subst.omitted == frozenset({name("Provider")})
 
+    # The resolver checks each argument against its parameter where it is
+    # written, so a bad argument is a resolver error, at the argument.
+
     def test_kind_mismatch(self, driving):
         text = (
             "library L pattern SimpleRelationGODP [ObjectProperty: p] [Class: D] [Class: R] = "
             "ObjectProperty: p Domain: D Range: R end "
             "ontology Bad = SimpleRelationGODP [Class: drives] [Person] [Vehicle] end"
         )
-        resolved = resolve_text(text)
-        with pytest.raises(GodpError) as exc:
-            expand(resolved, "Bad")
-        assert exc.value.code == "KindMismatch"
-        assert "argument 1" in exc.value.message
-        assert "ObjectProperty" in exc.value.message and "Class" in exc.value.message
+        message = "argument 1 of SimpleRelationGODP: expected ObjectProperty, got Class"
+        assert resolver_errors(text) == [("KindMismatch", message, (1, 157))]
 
-    def test_missing_mandatory_argument(self, role):
-        pattern = get_pattern(role, "RoleGODPParametrisation")
-        inst = get_pattern(role, "MotherRoleOntology").body.parts[-1]
+    def test_missing_mandatory_argument(self):
         # position 2 (Performer) omitted although mandatory
-        with pytest.raises(GodpError) as exc:
-            check_instantiation(pattern, (inst.args[0], inst.args[2], inst.args[2]))
-        assert exc.value.code == "MissingMandatoryArgument"
-        assert "argument 2" in exc.value.message
+        text = fixture_text("role.gdol") + (
+            "\nontology Bad = RoleGODPParametrisation [Class: R] [] [Class: U] end\n"
+        )
+        message = "argument 2 of RoleGODPParametrisation (Performer) is mandatory"
+        assert resolver_errors(text) == [("MissingMandatoryArgument", message, (134, 51))]
 
     def test_error_carries_instantiation_trace(self):
+        # owl:Thing replacing a base two sites down shows only at the site.
         text = (
             "library L "
-            "pattern Inner [ObjectProperty: p] = ObjectProperty: p end "
-            "pattern Outer [Class: X] = Inner [Class: X] end "
-            "ontology Bad = Outer [Class: Foo] end"
+            "pattern Inner [Class: c] = Class: c[A] end "
+            "pattern Outer [Class: X] = Inner [X] end "
+            "ontology Bad = Outer [Class: owl:Thing] end"
         )
         resolved = resolve_text(text)
         with pytest.raises(GodpError) as exc:
@@ -356,9 +361,8 @@ class TestConformance:
             "pattern P [ontology {Class: Animal}] = Class: Animal end "
             "ontology O = P [T fit Ghost |-> Animal] end"
         )
-        with pytest.raises(GodpError) as exc:
-            expand(resolve_text(text), "O")
-        assert exc.value.code == "UnknownFitSymbol"
+        message = "fit maps Ghost, which is not a symbol of the parameter (argument 1 of P)"
+        assert resolver_errors(text) == [("UnknownFitSymbol", message, (1, 114))]
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +614,8 @@ class TestOtherParameterKinds:
             "library L pattern P [ObjectProperty: p] = ObjectProperty: p end "
             "ontology O = P [owl:Thing] end"
         )
-        with pytest.raises(GodpError) as exc:
-            flatten_text(text, "O")
-        assert exc.value.code == "KindMismatch"
+        message = "argument 1 of P: expected ObjectProperty, got owl:Thing"
+        assert resolver_errors(text) == [("KindMismatch", message, (1, 80))]
 
 
 class TestObligationDedup:
@@ -804,10 +807,10 @@ class TestLibraryApiFile:
     @pytest.mark.parametrize(
         "body, lines",
         [
-            # raised in check_instantiation, under two notes
+            # raised in Q's block at the site, under two notes
             (
-                "pattern Q [Class: c] = Class: c end "
-                "pattern P [Class: X] = Q [ObjectProperty: r] end ontology O = P [Class: A] end",
+                "pattern Q [Class: c] = Class: c[A] end "
+                "pattern P [Class: X] = Q [X] end ontology O = P [Class: owl:Thing] end",
                 3,
             ),
             ("ontology O = Class: A and ObjectProperty: A end", 1),  # raised in union

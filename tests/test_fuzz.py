@@ -7,7 +7,9 @@ a stretch of text, inserts a grammar word or punctuation, replaces an
 identifier with another one of the text, or duplicates a line. Each mutant
 is checked, then flattened and its obligations reported for up to three of
 its ontologies. The expander looks up only names the resolver bound, so a
-binding the resolver missed would end here as an InternalError, exit 4.
+binding the resolver missed would end here as an InternalError, exit 4; and
+it takes each argument as the resolver checked it, so no argument error may
+come from a site.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ WORDS = (
 )
 
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+# An error the resolver reports where the argument is written, never at a
+# site: no expansion note follows it.
+ARGUMENT_ERROR_AT_A_SITE = re.compile(
+    r": error: (ArityMismatch|MissingMandatoryArgument|OntologyArgForSymbolParam|SymbolArgForOntologyParam"
+    r"|UnknownFitSymbol|KindMismatch: argument \d+ of \w+: expected \w+, got )[^\n]*\n[^\n]*note: while expanding"
+)
 ONTOLOGY_NAME = re.compile(r"^\s*ontology\s+(\w+)", re.M)
 
 
@@ -91,3 +99,4 @@ def test_mutants_end_in_output_or_error_diagnostic(tmp_path, source):
             assert code in (0, 1, 2), context
             assert code == 0 or ": error: " in err, context
             assert "InternalError" not in err and "Traceback" not in err, context
+            assert not ARGUMENT_ERROR_AT_A_SITE.search(err), context

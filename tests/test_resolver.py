@@ -173,6 +173,61 @@ class TestBodyUseKinds:
         assert codes == []
 
 
+class TestSiteArguments:
+    """Each argument is checked against its parameter where it is written,
+    in a pattern that no ontology instantiates too: one error per bad
+    argument, at the argument, with the message the expander once raised
+    at each site."""
+
+    @staticmethod
+    def site_errors(params, args):
+        text = (
+            "library L\nontology N = Class: A end\n"
+            f"pattern Q {params} = Class: B end\npattern P [Class: X] = Q {args} end\n"
+        )
+        resolved = resolve(parse_library(text))
+        return [(d.code, d.message, (d.span.line, d.span.col)) for d in resolved.errors]
+
+    @pytest.mark.parametrize(
+        "params, arg, code, message",
+        [
+            ("[Class: A]", "[]", "MissingMandatoryArgument", "argument 1 of Q (A) is mandatory"),
+            ("[ontology {Class: A}]", "[]", "MissingMandatoryArgument", "argument 1 of Q is mandatory"),
+            ("[Class: A]", "[ObjectProperty: r]", "KindMismatch", "argument 1 of Q: expected Class, got ObjectProperty"),
+            ("[ObjectProperty: p]", "[owl:Thing]", "KindMismatch", "argument 1 of Q: expected ObjectProperty, got owl:Thing"),
+            (
+                "[Class: A]",
+                "[N fit A |-> X]",
+                "OntologyArgForSymbolParam",
+                "argument 1 of Q must be a single Class symbol, not an ontology",
+            ),
+            ("[ontology {Class: A}]", "[Class: Z]", "SymbolArgForOntologyParam", "argument 1 of Q must name an ontology"),
+            ("[ontology {Class: A}]", "[Z[A]]", "SymbolArgForOntologyParam", "argument 1 of Q must name an ontology"),
+            (
+                "[ontology {Class: A}]",
+                "[N fit W |-> A]",
+                "UnknownFitSymbol",
+                "fit maps W, which is not a symbol of the parameter (argument 1 of Q)",
+            ),
+        ],
+    )
+    def test_bad_argument_reported_once_at_the_argument(self, params, arg, code, message):
+        assert self.site_errors(params, arg) == [(code, message, (4, 26))]
+
+    def test_every_bad_argument_of_a_site_is_reported(self):
+        assert self.site_errors("[Class: A] [ObjectProperty: p]", "[] [owl:Thing]") == [
+            ("MissingMandatoryArgument", "argument 1 of Q (A) is mandatory", (4, 26)),
+            ("KindMismatch", "argument 2 of Q: expected ObjectProperty, got owl:Thing", (4, 29)),
+        ]
+
+    def test_argument_kind_comes_before_the_passed_on_kind(self):
+        # X is a Class parameter, written as an ObjectProperty for a Class
+        # parameter: one error, the written kind's.
+        assert self.site_errors("[Class: A]", "[ObjectProperty: X]") == [
+            ("KindMismatch", "argument 1 of Q: expected Class, got ObjectProperty", (4, 26)),
+        ]
+
+
 class TestUnboundSearch:
     """The UnboundSymbol pass searches what a pattern reaches only for a
     free name that some block of the library declares."""
