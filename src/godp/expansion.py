@@ -6,10 +6,9 @@ The resolver has checked each argument against its parameter, once, where it
 is written. Expansion of an instantiation proceeds in this order: the site's
 arguments build a substitution, and each ontology-valued argument is
 flattened and checked for conformance, which yields proof obligations; then
-the body is evaluated under the substitution, left to right. Each block is
-desugared when it is first evaluated, which cannot fail: the parser has
-checked its frames. In each block, axioms mentioning an omitted optional
-parameter are deleted whole and the rest are substituted; a nested
+the body is evaluated under the substitution, left to right. Each block
+holds the axioms the parser desugared it into; axioms mentioning an omitted
+optional parameter are deleted whole and the rest are substituted; a nested
 instantiation whose argument mentions an omitted name is deleted whole, and
 otherwise its arguments are substituted and it is expanded recursively.
 Parameterized names are stratified in a separate final pass.
@@ -190,20 +189,19 @@ def check_instantiation(pattern: PatternDef, args, *, flatten=None) -> tuple[Sub
 
 class Expander:
     """Expands ontologies over one immutable resolved library without errors;
-    named-ontology results are memoized, each Basic node is desugared when
-    first evaluated and built into an ontology once per substitution, while
-    every instantiation site still builds its substitution, checks how its
-    argument ontologies conform, and has its nested sites walked."""
+    named-ontology results are memoized and each Basic node is built into an
+    ontology once per substitution, while every instantiation site still
+    builds its substitution, checks how its argument ontologies conform, and
+    has its nested sites walked."""
 
     def __init__(self, resolved: ResolvedLibrary):
         self.resolved = resolved
         self._memo: dict[str, tuple[FlatOntology, tuple[Obligation, ...]]] = {}
-        # id of a Basic node -> its axioms. The nodes belong to the resolved
-        # library, which this expander keeps alive, so no id is reused.
-        self._axioms: dict[int, tuple[AtomicAxiom, ...]] = {}
         # (id of a Basic node, site substitution or None) -> its ontology,
-        # a pure function of the two. A block raises no obligation, and an
-        # error is not stored, so it is raised again at the next site.
+        # a pure function of the two. The nodes belong to the resolved
+        # library, which this expander keeps alive, so no id is reused. A
+        # block raises no obligation, and an error is not stored, so it is
+        # raised again at the next site.
         self._blocks: dict[tuple[int, Substitution | None], FlatOntology] = {}
 
     def expand_item(self, name: str) -> tuple[FlatOntology, tuple[Obligation, ...]]:
@@ -223,9 +221,7 @@ class Expander:
             key = (id(expr), subst)
             onto = self._blocks.get(key)
             if onto is None:
-                axioms = self._axioms.get(id(expr))
-                if axioms is None:
-                    axioms = self._axioms[id(expr)] = tuple(desugar_frames(expr.frames))
+                axioms = expr.axioms
                 if subst is not None:
                     try:
                         axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)

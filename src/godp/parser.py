@@ -26,7 +26,7 @@ from .axioms import (
     SomeValuesFrom,
 )
 from .diagnostics import GodpError
-from .frames import Frame, Section
+from .frames import Frame, Section, desugar_frames
 from .lexer import (
     COMMA,
     EOF,
@@ -263,7 +263,7 @@ class _Parser:
         frames = [self.parse_frame()]
         while self.kind == FRAME_KW:
             frames.append(self.parse_frame())
-        return Basic(tuple(frames), self.span(t))
+        return Basic(tuple(desugar_frames(frames)), self.span(t))
 
     # -- ontology expressions ---------------------------------------------------
 

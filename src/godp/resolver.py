@@ -13,6 +13,8 @@ themselves — self-reference then surfaces as a cycle).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .axioms import Declaration, EntityKind, mentions, referenced_kinds
 from .diagnostics import Diagnostic, Span
 from .frames import desugar_frames
@@ -81,6 +83,7 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
         in_scope = {n: kind for param in item.params for n, kind in param.symbols} if is_pattern else {}
         used: set[StructuredName] = set()
         fitted: list[OntologyArg] = []
+        named_kinds: set[tuple[StructuredName, EntityKind]] = set()  # each (name, kind) its blocks use
 
         def bind(name: str, span: Span):
             """The item ``name`` refers to, recorded as a reference; None,
@@ -109,22 +112,25 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
 
         for leaf in leaves(item.body):
             if isinstance(leaf, Basic):
-                for frame in leaf.frames:
-                    subjects |= _plain_parts(frame.subject)
+                for ax in leaf.axioms:
+                    if isinstance(ax, Declaration):
+                        subjects |= _plain_parts(ax.name)
                 if is_pattern:
+                    pairs: list[tuple[StructuredName, EntityKind]] = []
+                    for ax in leaf.axioms:
+                        referenced_kinds(ax, pairs)
+                    named_kinds.update(pairs)
                     misused: set[StructuredName] = set()
-                    for ax in desugar_frames(leaf.frames):
-                        for n, kind in referenced_kinds(ax):
-                            used |= _plain_parts(n)
-                            # A parameter used in the body keeps the kind its pattern declares.
-                            param_kind = in_scope.get(n)
-                            if param_kind is not None and param_kind is not kind and n not in misused:
-                                misused.add(n)
-                                report(
-                                    "KindMismatch",
-                                    f"{n} is a {param_kind} parameter of {item.name}, but is used as {kind}",
-                                    leaf.span,
-                                )
+                    for n, kind in pairs:
+                        # A parameter used in the body keeps the kind its pattern declares.
+                        param_kind = in_scope.get(n)
+                        if param_kind is not None and param_kind is not kind and n not in misused:
+                            misused.add(n)
+                            report(
+                                "KindMismatch",
+                                f"{n} is a {param_kind} parameter of {item.name}, but is used as {kind}",
+                                leaf.span,
+                            )
             elif isinstance(leaf, Ref):
                 target = bind(leaf.name, leaf.span)
                 if isinstance(target, PatternDef):
@@ -141,17 +147,19 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                 elif target is not None:
                     report("NotAPattern", f"{leaf.pattern!r} is an ontology, not a pattern", leaf.span)
                 for position, arg in enumerate(leaf.args, start=1):
-                    if isinstance(arg, OntologyArg):
+                    param = params[position - 1] if position <= len(params) else None
+                    if isinstance(arg, OntologyArg) and not isinstance(param, SymbolParam):
+                        # Bound only where an ontology may stand: at a symbol
+                        # parameter it is one OntologyArgForSymbolParam below.
                         check_ontology_arg(arg.name, arg.span)
                         if arg.fit:
                             fitted.append(arg)
-                    if position > len(params):
+                    if param is None:
                         continue
                     # At most one rule per argument, the first it breaks. None
                     # depends on a site's substitution: that changes no kind or
                     # fit, omits nothing, and gives owl:Thing only to a Class
                     # parameter, which the last symbol rule keeps in kind.
-                    param = params[position - 1]
                     at = f"argument {position} of {leaf.pattern}"
                     if isinstance(arg, OmittedArg):
                         if not param.optional:
@@ -195,6 +203,11 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                         check_ontology_arg(arg.name.base, arg.span)
 
         if is_pattern:
+            names = {n for n, _ in named_kinds}
+            for n in names:
+                used |= _plain_parts(n)
+            if len(names) < len(named_kinds):  # a name used with two kinds
+                _check_literal_kinds(item, in_scope, named_kinds, report)
             _check_pattern(item, report)
             uses.append((item, in_scope, used, fitted))
 
@@ -233,6 +246,29 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
 
 def _arity_message(pattern: PatternDef, got: int) -> str:
     return f"pattern {pattern.name!r} expects {len(pattern.params)} argument(s), got {got}"
+
+
+def _check_literal_kinds(item: PatternDef, in_scope: dict, named_kinds: set, report) -> None:
+    """A literal name of ``item``'s blocks, one that holds no parameter and
+    is not owl:Thing, keeps one kind: no site's substitution changes it.
+    ``named_kinds`` holds each (name, kind) the blocks use. Counts only the
+    axioms that every site keeps, those that mention no optional parameter;
+    reports a second kind once per name, at the block of the clashing use."""
+    uses = Counter(n for n, _ in named_kinds)
+    names = {n for n, k in uses.items() if k > 1 and n.base != THING_BASE and n.closure().isdisjoint(in_scope)}
+    optional = {n for param in item.params if param.optional for n, _ in param.symbols}
+    first: dict[StructuredName, EntityKind] = {}
+    for leaf in leaves(item.body):
+        if not isinstance(leaf, Basic):
+            continue
+        for ax in leaf.axioms:
+            pairs = [(n, kind) for n, kind in referenced_kinds(ax) if n in names]
+            if not pairs or not mentions(ax).isdisjoint(optional):
+                continue
+            for n, kind in pairs:
+                if first.setdefault(n, kind) is not kind and n in names:
+                    names.discard(n)
+                    report("ConflictingKind", f"{n} is used both as {first[n]} and as {kind}", leaf.span)
 
 
 def _check_pattern(item: PatternDef, report) -> None:
@@ -275,7 +311,7 @@ def _check_pattern(item: PatternDef, report) -> None:
 
 
 def declared_symbols(resolved: ResolvedLibrary, item_name: str) -> set[StructuredName]:
-    """Syntactic declared-symbol set of an item: frame subjects of its body
+    """Syntactic declared-symbol set of an item: the names its blocks declare
     plus those of every reachable referenced item (pre-substitution)."""
     out: set[StructuredName] = set()
     seen: set[str] = set()
@@ -291,7 +327,7 @@ def declared_symbols(resolved: ResolvedLibrary, item_name: str) -> set[Structure
             elif isinstance(leaf, Ref):
                 stack.append(leaf.name)
             elif isinstance(leaf, Basic):
-                out.update(frame.subject for frame in leaf.frames)
+                out.update(ax.name for ax in leaf.axioms if isinstance(ax, Declaration))
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .axioms import EntityKind
+from .axioms import AtomicAxiom, EntityKind
 from .diagnostics import Span
 from .frames import Frame
 from .names import StructuredName
@@ -66,7 +66,7 @@ class OntologyExpr:
 
 
 class Basic(OntologyExpr, metaclass=record):
-    frames: tuple[Frame, ...]
+    axioms: tuple[AtomicAxiom, ...]  # its frames, desugared by the parser
     span: Span
 
 

@@ -617,6 +617,87 @@ class TestCheck:
         else:
             assert err == f"{path}:3:26: error: MissingMandatoryArgument: {message}\n"
 
+    # An ontology argument at a symbol parameter is one error, however its
+    # name would bind: to no item, or to a pattern.
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize("argument", ["Missing", "Q"])
+    def test_ontology_argument_at_symbol_parameter_is_one_error(self, capsys, tmp_path, argument, json_flag):
+        path = write(
+            tmp_path,
+            f"library L\npattern Q [Class: A] = Class: A end\npattern P [Class: X] = Q [{argument} fit A |-> X] end\n",
+        )
+        code, out, err = run_cli(["check", path, *json_flag], capsys)
+        assert (code, out) == (2, "")
+        message = "argument 1 of Q must be a single Class symbol, not an ontology"
+        if json_flag:
+            diag = json.loads(err)
+            assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("OntologyArgForSymbolParam", 3, 26, message)
+        else:
+            assert err == f"{path}:3:26: error: OntologyArgForSymbolParam: {message}\n"
+
+    # A kind clash among a pattern body's literal names is an error where the
+    # pattern is written: reported once, under no note, with or without a
+    # target that reaches it.
+    LITERAL_CLASH = "library L\npattern Q [Class: X] = Class: A and ObjectProperty: A end\n"
+    LITERAL_CLASH_TARGETS = "ontology O1 = Q [Class: B] end\nontology O2 = Q [Class: C] end\nontology O3 = O1 and O2 end\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize(
+        "targets, command",
+        [
+            ("", ["check"]),
+            (LITERAL_CLASH_TARGETS, ["check"]),
+            (LITERAL_CLASH_TARGETS, ["flatten", "--target", "O3"]),
+            (LITERAL_CLASH_TARGETS, ["obligations", "--target", "O1"]),
+        ],
+    )
+    def test_literal_kind_clash_reported_once(self, capsys, tmp_path, targets, command, json_flag):
+        path = write(tmp_path, self.LITERAL_CLASH + targets)
+        code, out, err = run_cli([command[0], path, *command[1:], *json_flag], capsys)
+        assert (code, out) == (2, "")
+        message = "A is used both as Class and as ObjectProperty"
+        if json_flag:
+            diag = json.loads(err)
+            assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("ConflictingKind", 2, 37, message)
+            assert "notes" not in diag
+        else:
+            assert err == f"{path}:2:37: error: ConflictingKind: {message}\n"
+
+    # A clash that an argument creates, or that only a passed optional
+    # argument keeps, is an error of the site that creates it.
+    OPTIONAL_FACT = "library L\npattern Q [Individual: Y ?] = Class: A and Individual: i Facts: A Y end\n"
+
+    @pytest.mark.parametrize("site", ["", "ontology O = Q [] end\n"])
+    def test_clash_an_omitted_argument_deletes_passes(self, capsys, tmp_path, site):
+        assert run_cli(["check", write(tmp_path, self.OPTIONAL_FACT + site)], capsys) == (0, "", "")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize(
+        "text, col, name, pattern",
+        [
+            (OPTIONAL_FACT + "ontology O = Q [Individual: j] end\n", 40, "A", "Q"),
+            (
+                "library L\npattern P [Class: X] [ObjectProperty: Y] = Class: X and ObjectProperty: Y end\n"
+                "ontology O = P [Class: C] [ObjectProperty: C] end\n",
+                53,
+                "C",
+                "P",
+            ),
+        ],
+    )
+    def test_clash_a_site_creates_is_a_site_error(self, capsys, tmp_path, text, col, name, pattern, json_flag):
+        path = write(tmp_path, text)
+        code, out, err = run_cli(["check", path, *json_flag], capsys)
+        assert (code, out) == (2, "")
+        message = f"{name} is used both as Class and as ObjectProperty"
+        note = f"while expanding instantiation of {pattern!r}"
+        if json_flag:
+            diag = json.loads(err)
+            assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("ConflictingKind", 2, col, message)
+            assert diag["notes"] == [note]
+        else:
+            assert err == f"{path}:2:{col}: error: ConflictingKind: {message}\n{path}:3:14: note: {note}\n"
+
     def test_bad_argument_is_listed(self, capsys, tmp_path):
         code, out, err = run_cli(["list", write(tmp_path, self.BAD_ARGUMENT)], capsys)
         assert (code, err) == (0, "")

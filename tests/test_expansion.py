@@ -3,6 +3,7 @@ import random
 import pytest
 
 import godp.expansion
+import godp.parser
 from godp.axioms import (
     AllValuesFrom,
     Cardinality,
@@ -177,10 +178,7 @@ class TestCheckInstantiation:
 
 class TestPrune:
     def test_empty_omitted_is_identity(self, role):
-        from godp.frames import desugar_frames
-
-        frames = get_pattern(role, "RoleGODPParametrisation").body.frames
-        axioms = desugar_frames(frames)
+        axioms = get_pattern(role, "RoleGODPParametrisation").body.axioms
         assert prune_omitted(axioms, frozenset()) == list(axioms)
 
     def test_declaration_of_omitted_deleted(self):
@@ -188,10 +186,7 @@ class TestPrune:
         assert prune_omitted(axioms, {name("Provider")}) == [Declaration(CLS, name("Role"))]
 
     def test_matches_brute_force_scan(self, role):
-        from godp.frames import desugar_frames
-
-        frames = get_pattern(role, "RoleGODPParametrisation").body.frames
-        axioms = desugar_frames(frames)
+        axioms = get_pattern(role, "RoleGODPParametrisation").body.axioms
         omitted = {name("Provider")}
         kept = prune_omitted(axioms, omitted)
         # independent oracle: reflection-based scan for omitted names
@@ -200,10 +195,7 @@ class TestPrune:
         assert len(kept) < len(axioms)
 
     def test_monotone(self, role):
-        from godp.frames import desugar_frames
-
-        frames = get_pattern(role, "RoleGODPParametrisation").body.frames
-        axioms = desugar_frames(frames)
+        axioms = get_pattern(role, "RoleGODPParametrisation").body.axioms
         small = norm_set(prune_omitted(axioms, {name("Provider")}))
         large = norm_set(prune_omitted(axioms, {name("Provider"), name("Performer")}))
         assert large <= small
@@ -238,10 +230,7 @@ class TestSubstitution:
         assert out.name.render() == "rolePerformedBy[Agent]"
 
     def test_axiom_count_preserved(self, role):
-        from godp.frames import desugar_frames
-
-        frames = get_pattern(role, "RoleGODPParametrisation").body.frames
-        axioms = desugar_frames(frames)
+        axioms = get_pattern(role, "RoleGODPParametrisation").body.axioms
         s = Substitution(
             (
                 (name("Role"), name("ProfRole")),
@@ -631,22 +620,23 @@ class TestObligationDedup:
 class TestDesugarOnce:
     def test_each_body_desugared_once_per_expansion(self, monkeypatch):
         # Three sites of one pattern, one of them with an omitted optional
-        # argument: its body's frames are desugared once, and each site still
+        # argument: the parser desugars each block once, the expander never
+        # (the library has no ontology parameter), and each site still
         # prunes and substitutes for itself.
         calls = []
-        original = godp.expansion.desugar_frames
+        for module in (godp.parser, godp.expansion):
 
-        def counting(frames):
-            calls.append(frames)
-            return original(frames)
+            def counting(frames, module=module.__name__, original=module.desugar_frames):
+                calls.append(module)
+                return original(frames)
 
-        monkeypatch.setattr(godp.expansion, "desugar_frames", counting)
+            monkeypatch.setattr(module, "desugar_frames", counting)
         text = (
             "library L pattern R [Class: A] [Class: B ?] = Class: A SubClassOf: B end "
             "ontology O = R [Class: X] [Class: Y] and R [Class: Z] [] and R [Class: X] [Class: Y] end"
         )
         onto = flatten_text(text, "O")
-        assert len(calls) == 1
+        assert calls == ["godp.parser"]
         assert norm_set(onto.axioms) == norm_set(
             [
                 Declaration(CLS, name("X")),

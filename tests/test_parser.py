@@ -62,7 +62,7 @@ class TestLibraryStructure:
         left, right = body.parts
         assert isinstance(left, Ref) and left.name == "Driving"
         assert isinstance(right, Basic)
-        assert len(right.frames) == 1
+        assert len(right.axioms) == 2  # one frame: its Declaration and its Domain axiom
 
     def test_minimal_pattern(self):
         lib = parse_library("library L pattern P [Class: X] = Class: X end")
@@ -271,7 +271,7 @@ def kept_spans(node):
                 kind, value = SPAN_TOKENS[t]
                 if value is None:
                     value = {Ref: "name", Instantiate: "pattern"}.get(t)
-                    value = getattr(n, value) if value else n.frames[0].kind.value
+                    value = getattr(n, value) if value else n.axioms[0].kind.value
                 out.append((t, n.span, kind, value))
             stack.extend(getattr(n, f) for f in t._fields if f not in ("span", "ops"))
     return out

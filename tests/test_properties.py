@@ -677,7 +677,7 @@ def reference_declared_symbols(resolved, item_name, seen=None):
         elif isinstance(leaf, Ref):
             out.update(reference_declared_symbols(resolved, leaf.name, seen))
         elif isinstance(leaf, Basic):
-            out.update(frame.subject for frame in leaf.frames)
+            out.update(ax.name for ax in leaf.axioms if isinstance(ax, Declaration))
     return out
 
 

@@ -173,6 +173,96 @@ class TestBodyUseKinds:
         assert codes == []
 
 
+class TestLiteralKinds:
+    """A literal name of a pattern's blocks, one that holds no parameter,
+    keeps one kind in the axioms every site keeps; a second kind is reported
+    once per pattern and name, at the block of the clashing use. Clashes
+    that a substitution creates stay errors of the site."""
+
+    def test_clash_without_a_host(self):
+        resolved, codes = resolve_errors("library L\npattern Q [Class: X] = Class: A and ObjectProperty: A end\n")
+        assert codes == ["ConflictingKind"]
+        error = resolved.errors[0]
+        assert error.message == "A is used both as Class and as ObjectProperty"
+        assert (error.span.line, error.span.col) == (2, 37)
+
+    def test_clash_reached_by_three_targets_is_one_error(self):
+        text = (
+            "library L\npattern Q [Class: X] = Class: A and ObjectProperty: A end\n"
+            "ontology O1 = Q [Class: B] end\nontology O2 = Q [Class: C] end\nontology O3 = O1 and O2 end\n"
+        )
+        _, codes = resolve_errors(text)
+        assert codes == ["ConflictingKind"]
+
+    def test_once_per_pattern_and_name(self):
+        text = (
+            "library L"
+            " pattern P [Class: X] = Class: A Class: B ObjectProperty: A and DataProperty: A and ObjectProperty: B end"
+            " pattern Q [Class: X] = Class: A and Individual: A end"
+        )
+        resolved, _ = resolve_errors(text)
+        assert [(e.message, e.span.col) for e in resolved.errors] == [
+            ("A is used both as Class and as ObjectProperty", text.index("Class: A Class: B") + 1),
+            ("B is used both as Class and as ObjectProperty", text.index("ObjectProperty: B") + 1),
+            ("A is used both as Class and as Individual", text.index("Individual: A") + 1),
+        ]
+
+    def test_bracketed_literal_name(self):
+        _, codes = resolve_errors("library L pattern P [Class: X] = Class: r[A] and ObjectProperty: r[A] end")
+        assert codes == ["ConflictingKind"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "Class: r[X] and ObjectProperty: r[X]",  # a constituent is a parameter
+            "Class: X[A] and ObjectProperty: X[A]",  # the base is a parameter
+            "(Class: A SubClassOf: owl:Thing) and ObjectProperty: owl:Thing",  # owl:Thing is no entity
+        ],
+    )
+    def test_names_that_are_not_literal(self, body):
+        _, codes = resolve_errors(f"library L pattern P [Class: X] = {body} end")
+        assert codes == []
+
+    OPTIONAL_FACT = "library L\npattern Q [Individual: Y ?] = Class: A and Individual: i Facts: A Y end\n"
+
+    @pytest.mark.parametrize("site", ["", "ontology O = Q [] end\n"])
+    def test_use_an_omitted_argument_can_delete_is_not_counted(self, site):
+        resolved, codes = resolve_errors(self.OPTIONAL_FACT + site)
+        assert codes == []
+        if site:
+            assert expand(resolved, "O").ontology.signature
+
+    def test_use_an_omitted_argument_can_delete_clashes_at_a_site(self):
+        resolved, codes = resolve_errors(self.OPTIONAL_FACT + "ontology O = Q [Individual: j] end\n")
+        assert codes == []
+        with pytest.raises(GodpError) as exc:
+            expand(resolved, "O")
+        assert exc.value.code == "ConflictingKind"
+
+    def test_kept_uses_clash_around_a_deletable_one(self):
+        # The first use of A, as an ObjectProperty, can be deleted; the kept
+        # uses, as a Class and then as an ObjectProperty, clash.
+        text = (
+            "library L pattern Q [Individual: Y ?] ="
+            " Individual: i Facts: A Y and Class: A and ObjectProperty: A end"
+        )
+        resolved, codes = resolve_errors(text)
+        assert codes == ["ConflictingKind"]
+        assert resolved.errors[0].message == "A is used both as Class and as ObjectProperty"
+        assert resolved.errors[0].span.col == text.index("ObjectProperty: A") + 1
+
+    def test_clash_a_substitution_creates_is_a_site_error(self):
+        text = (
+            "library L pattern P [Class: X] [ObjectProperty: Y] = Class: X and ObjectProperty: Y end"
+            " ontology O = P [Class: C] [ObjectProperty: C] end"
+        )
+        resolved, codes = resolve_errors(text)
+        assert codes == []
+        with pytest.raises(GodpError) as exc:
+            expand(resolved, "O")
+        assert exc.value.code == "ConflictingKind"
+
+
 class TestSiteArguments:
     """Each argument is checked against its parameter where it is written,
     in a pattern that no ontology instantiates too: one error per bad
@@ -198,6 +288,20 @@ class TestSiteArguments:
             (
                 "[Class: A]",
                 "[N fit A |-> X]",
+                "OntologyArgForSymbolParam",
+                "argument 1 of Q must be a single Class symbol, not an ontology",
+            ),
+            # An ontology argument at a symbol parameter is not bound, so an
+            # unknown name or a pattern there is this one error, not two.
+            (
+                "[Class: A]",
+                "[Missing fit A |-> X]",
+                "OntologyArgForSymbolParam",
+                "argument 1 of Q must be a single Class symbol, not an ontology",
+            ),
+            (
+                "[Class: A]",
+                "[Q fit A |-> X]",
                 "OntologyArgForSymbolParam",
                 "argument 1 of Q must be a single Class symbol, not an ontology",
             ),
