@@ -109,6 +109,7 @@ def cmd_check(args: argparse.Namespace, session: _Session) -> int:
     if isinstance(resolved, int):
         return resolved
     worst = EXIT_OK
+    printed: set[Diagnostic] = set()
     for name in resolved.ontology_names():
         span = resolved.table[name].span
         try:
@@ -116,7 +117,10 @@ def cmd_check(args: argparse.Namespace, session: _Session) -> int:
             for ax in stratify_ontology(result.ontology, span).axioms:
                 frame_subject(ax, span)
         except GodpError as exc:
-            worst = max(worst, session.fail(exc.with_file(args.input)))
+            exc = exc.with_file(args.input)
+            if exc.diagnostic not in printed:  # a fault of an ontology that several targets reach
+                printed.add(exc.diagnostic)
+                worst = max(worst, session.fail(exc))
             continue
         session.emit_all(result.warnings)
     return worst

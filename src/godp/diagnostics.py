@@ -97,16 +97,12 @@ class Diagnostic(metaclass=record):
     def to_json(self) -> str:
         import json  # only --json-diagnostics needs it: a plain run loads no json
 
-        payload = {
-            "file": self.file,
-            "line": self.span.line if self.span else None,
-            "col": self.span.col if self.span else None,
-            "severity": self.severity,
-            "code": self.code,
-            "message": self.message,
-        }
+        def where(d: Diagnostic) -> dict:
+            return {"file": d.file, "line": d.span and d.span.line, "col": d.span and d.span.col}
+
+        payload = {**where(self), "severity": self.severity, "code": self.code, "message": self.message}
         if self.notes:
-            payload["notes"] = [n.message for n in self.notes]
+            payload["notes"] = [{**where(n), "message": n.message} for n in self.notes]
         return json.dumps(payload, sort_keys=True)
 
 

@@ -28,9 +28,8 @@ from .ontology import FlatOntology, combine, union  # noqa: F401
 from .record import record
 from .resolver import ResolvedLibrary
 from .syntax import (
-    AndExpr,
     Basic,
-    Instantiate,
+    Chain,
     OmittedArg,
     OntologyArg,
     OntologyDef,
@@ -40,7 +39,6 @@ from .syntax import (
     Ref,
     SymbolArg,
     SymbolParam,
-    Then,
 )
 
 
@@ -143,15 +141,15 @@ def conformance_check(
     return full_fit, obligations
 
 
-def check_instantiation(pattern: PatternDef, args, *, flatten=None) -> tuple[Substitution, list[Obligation]]:
+def check_instantiation(pattern: PatternDef, args, *, flatten) -> tuple[Substitution, list[Obligation]]:
     """Build the substitution of one instantiation site and check how its
     argument ontologies conform.
 
     ``args`` are the site's arguments, under the enclosing site's
     substitution, of a resolved library: the resolver has checked each
     written argument against its parameter, which no substitution undoes.
-    ``flatten`` maps an ontology name to its FlatOntology; it is only
-    needed when the pattern has ontology-valued parameters.
+    ``flatten`` maps an ontology name to its FlatOntology; it is called
+    only for ontology-valued parameters.
     """
     mapping: dict[StructuredName, StructuredName] = {}
     omitted: set[StructuredName] = set()
@@ -165,12 +163,6 @@ def check_instantiation(pattern: PatternDef, args, *, flatten=None) -> tuple[Sub
         else:
             if isinstance(arg, SymbolArg):
                 arg = OntologyArg(arg.name.base, (), arg.span)
-            if flatten is None:
-                raise GodpError(
-                    "UnresolvedReference",
-                    f"cannot flatten ontology argument {arg.name!r} outside a library",
-                    arg.span,
-                )
             arg_flat = flatten(arg.name)
             fit, obs = conformance_check(
                 param, arg, arg_flat, pattern=pattern.name, position=position, span=arg.span
@@ -230,30 +222,31 @@ class Expander:
                 onto = self._blocks[key] = FlatOntology.from_axioms(axioms, expr.span)
             return onto
         if isinstance(expr, Ref):
-            onto, obs = self.expand_item(expr.name)
-            obligations.extend(obs)
-            return onto
-        if isinstance(expr, (Then, AndExpr)):
-            # Extension (`then`) and union (`and`) flatten to the same union;
-            # they differ only in evaluation and diagnostic order. The parts
-            # are evaluated through map, which adds no frame to the stack.
-            parts = map(self._eval, expr.parts, repeat(obligations), repeat(subst))
-            return union(parts, expr.ops, extension=isinstance(expr, Then))
-        if isinstance(expr, Instantiate):
-            # Evaluated in this frame, not a helper's: with union's frame,
-            # each level of pattern nesting costs three frames (_eval, union,
-            # _eval), which keeps the depth the default recursion limit allows.
+            pattern = self.resolved.table[expr.name]
+            if isinstance(pattern, OntologyDef):
+                onto, obs = self.expand_item(expr.name)
+                obligations.extend(obs)
+                return onto
+            # A pattern, instantiated in this frame, not a helper's: with
+            # union's frame, each level of pattern nesting costs three frames
+            # (_eval, union, _eval), which keeps the depth the default
+            # recursion limit allows.
             args = expr.args if subst is None else _substitute_args(expr.args, subst)
             if args is None:
                 return FlatOntology.from_axioms((), expr.span)
-            pattern = self.resolved.table[expr.pattern]
             try:
                 site_subst, obs = check_instantiation(pattern, args, flatten=lambda name: self.expand_item(name)[0])
                 obligations.extend(obs)
                 return self._eval(pattern.body, obligations, site_subst)
             except GodpError as exc:
-                note = Diagnostic("note", exc.code, f"while expanding instantiation of {expr.pattern!r}", expr.span)
+                note = Diagnostic("note", exc.code, f"while expanding instantiation of {expr.name!r}", expr.span)
                 raise exc.with_note(note) from None
+        if isinstance(expr, Chain):
+            # Extension (`then`) and union (`and`) flatten to the same union;
+            # they differ only in evaluation and diagnostic order. The parts
+            # are evaluated through map, which adds no frame to the stack.
+            parts = map(self._eval, expr.parts, repeat(obligations), repeat(subst))
+            return union(parts, expr.ops, extension=expr.extension)
         raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
 
 

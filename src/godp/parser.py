@@ -51,10 +51,9 @@ from .lexer import (
 )
 from .names import THING, StructuredName
 from .syntax import (
-    AndExpr,
     Arg,
     Basic,
-    Instantiate,
+    Chain,
     Library,
     OmittedArg,
     OntologyArg,
@@ -66,7 +65,6 @@ from .syntax import (
     Ref,
     SymbolArg,
     SymbolParam,
-    Then,
 )
 
 class _Parser:
@@ -273,7 +271,7 @@ class _Parser:
         while self.at(KEYWORD, "then"):
             ops.append(self.span(self.advance()))
             parts.append(self.parse_and_expr())
-        return Then(tuple(parts), tuple(ops), ops[0]) if ops else parts[0]
+        return Chain(tuple(parts), tuple(ops), ops[0], True) if ops else parts[0]
 
     def parse_and_expr(self) -> OntologyExpr:
         parts = [self.parse_unit()]
@@ -281,7 +279,7 @@ class _Parser:
         while self.at(KEYWORD, "and"):
             ops.append(self.span(self.advance()))
             parts.append(self.parse_unit())
-        return AndExpr(tuple(parts), tuple(ops), ops[0]) if ops else parts[0]
+        return Chain(tuple(parts), tuple(ops), ops[0], False) if ops else parts[0]
 
     def parse_unit(self) -> OntologyExpr:
         kind = self.kind
@@ -300,9 +298,7 @@ class _Parser:
             args: list[Arg] = []
             while self.kind == LBRACKET:
                 args.append(self.parse_arg())
-            if args:
-                return Instantiate(name, tuple(args), self.span(t))
-            return Ref(name, self.span(t))
+            return Ref(name, tuple(args), self.span(t))
         raise self.error("an ontology expression")
 
     def parse_arg(self) -> Arg:

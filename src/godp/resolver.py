@@ -21,7 +21,6 @@ from .frames import desugar_frames
 from .names import THING_BASE, StructuredName
 from .syntax import (
     Basic,
-    Instantiate,
     Library,
     OmittedArg,
     OntologyArg,
@@ -131,21 +130,18 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                                 f"{n} is a {param_kind} parameter of {item.name}, but is used as {kind}",
                                 leaf.span,
                             )
-            elif isinstance(leaf, Ref):
-                target = bind(leaf.name, leaf.span)
-                if isinstance(target, PatternDef):
-                    # A bare reference to a pattern is an instantiation with
-                    # no argument groups; report the arity gap.
-                    report("ArityMismatch", _arity_message(target, 0), leaf.span)
             else:
-                target = bind(leaf.pattern, leaf.span)
+                # A pattern takes one argument group per parameter; a named
+                # ontology takes none.
+                target = bind(leaf.name, leaf.span)
                 params = ()
                 if isinstance(target, PatternDef):
                     params = target.params
                     if len(leaf.args) != len(params):
-                        report("ArityMismatch", _arity_message(target, len(leaf.args)), leaf.span)
-                elif target is not None:
-                    report("NotAPattern", f"{leaf.pattern!r} is an ontology, not a pattern", leaf.span)
+                        message = f"pattern {leaf.name!r} expects {len(params)} argument(s), got {len(leaf.args)}"
+                        report("ArityMismatch", message, leaf.span)
+                elif target is not None and leaf.args:
+                    report("NotAPattern", f"{leaf.name!r} is an ontology, not a pattern", leaf.span)
                 for position, arg in enumerate(leaf.args, start=1):
                     param = params[position - 1] if position <= len(params) else None
                     if isinstance(arg, OntologyArg) and not isinstance(param, SymbolParam):
@@ -160,7 +156,7 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                     # depends on a site's substitution: that changes no kind or
                     # fit, omits nothing, and gives owl:Thing only to a Class
                     # parameter, which the last symbol rule keeps in kind.
-                    at = f"argument {position} of {leaf.pattern}"
+                    at = f"argument {position} of {leaf.name}"
                     if isinstance(arg, OmittedArg):
                         if not param.optional:
                             named = f" ({param.name})" if isinstance(param, SymbolParam) else ""
@@ -244,10 +240,6 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
     return resolved
 
 
-def _arity_message(pattern: PatternDef, got: int) -> str:
-    return f"pattern {pattern.name!r} expects {len(pattern.params)} argument(s), got {got}"
-
-
 def _check_literal_kinds(item: PatternDef, in_scope: dict, named_kinds: set, report) -> None:
     """A literal name of ``item``'s blocks, one that holds no parameter and
     is not owl:Thing, keeps one kind: no site's substitution changes it.
@@ -322,9 +314,7 @@ def declared_symbols(resolved: ResolvedLibrary, item_name: str) -> set[Structure
             continue
         seen.add(name)
         for leaf in leaves(resolved.table[name].body):
-            if isinstance(leaf, Instantiate):
-                stack.append(leaf.pattern)
-            elif isinstance(leaf, Ref):
+            if isinstance(leaf, Ref):
                 stack.append(leaf.name)
             elif isinstance(leaf, Basic):
                 out.update(ax.name for ax in leaf.axioms if isinstance(ax, Declaration))

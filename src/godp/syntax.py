@@ -1,8 +1,8 @@
 """AST for pattern-library files: items, parameters, arguments, expressions.
 
 Every node carries a span: the span of its first token, except for the
-operator nodes ``Then`` and ``AndExpr``, whose ``span`` is that of their first
-operator token and whose ``ops`` hold the span of every operator token.
+operator node ``Chain``, whose ``span`` is that of its first operator token
+and whose ``ops`` hold the span of every operator token.
 """
 
 from __future__ import annotations
@@ -70,34 +70,25 @@ class Basic(OntologyExpr, metaclass=record):
     span: Span
 
 
-class Then(OntologyExpr, metaclass=record):
-    """``parts[0] then parts[1] then ...``: right-associative extension.
-    ``ops[i]`` is the span of the ``then`` between ``parts[i]`` and
-    ``parts[i + 1]``; ``span`` is ``ops[0]``. A parenthesized part stays one
-    nested part."""
+class Chain(OntologyExpr, metaclass=record):
+    """``parts[0] and parts[1] and ...``, a left-associative union, or with
+    ``extension`` ``parts[0] then parts[1] then ...``, a right-associative
+    extension. ``ops[i]`` is the span of the operator between ``parts[i]``
+    and ``parts[i + 1]``; ``span`` is ``ops[0]``. A parenthesized part stays
+    one nested part."""
 
     parts: tuple[OntologyExpr, ...]
     ops: tuple[Span, ...]
     span: Span
-
-
-class AndExpr(OntologyExpr, metaclass=record):
-    """``parts[0] and parts[1] and ...``: left-associative union, with
-    ``parts``, ``ops`` and ``span`` as in :class:`Then`."""
-
-    parts: tuple[OntologyExpr, ...]
-    ops: tuple[Span, ...]
-    span: Span
-
-
-class Instantiate(OntologyExpr, metaclass=record):
-    pattern: str
-    args: tuple[Arg, ...]
-    span: Span
+    extension: bool
 
 
 class Ref(OntologyExpr, metaclass=record):
+    """A library item used by name, with one group in ``args`` per argument
+    written: none for a named ontology, one per parameter for a pattern."""
+
     name: str
+    args: tuple[Arg, ...]
     span: Span
 
 
@@ -124,13 +115,13 @@ class Library(metaclass=record):
 
 
 def leaves(expr: OntologyExpr) -> Iterator[OntologyExpr]:
-    """The ``Basic``, ``Ref`` and ``Instantiate`` leaves of ``expr`` under its
-    nested ``Then`` / ``AndExpr`` nodes, left to right. Iterative, so nesting
-    depth costs no stack."""
+    """The ``Basic`` and ``Ref`` leaves of ``expr`` under its nested
+    ``Chain`` nodes, left to right. Iterative, so nesting depth costs no
+    stack."""
     stack = [expr]
     while stack:
         e = stack.pop()
-        if isinstance(e, (Then, AndExpr)):
+        if isinstance(e, Chain):
             stack.extend(reversed(e.parts))
         else:
             yield e

@@ -152,6 +152,13 @@ class TestFlatten:
         assert payload["severity"] == "error"
         assert payload["line"] == 2
 
+    # A pattern takes one argument group per parameter, so one without
+    # parameters is used by its bare name.
+    def test_zero_parameter_pattern(self, capsys, tmp_path):
+        path = write(tmp_path, "library L\npattern P = Class: A end\nontology O = P end\n")
+        assert run_cli(["flatten", path, "--target", "O"], capsys) == (0, "Class: A\n", "")
+        assert run_cli(["check", path], capsys) == (0, "", "")
+
 
 class TestErrorPaths:
     """Each semantic failure mode exits 2 with its designated diagnostic."""
@@ -443,8 +450,9 @@ class TestErrorPaths:
         message = "owl:Thing cannot replace X in X[A]: it takes no constituents"
         note = "while expanding instantiation of 'P'"
         expected = (
-            json.dumps({"code": "KindMismatch", "col": col, "file": path, "line": 2,
-                        "message": message, "notes": [note], "severity": "error"}, sort_keys=True)
+            json.dumps({"code": "KindMismatch", "col": col, "file": path, "line": 2, "message": message,
+                        "notes": [{"col": 14, "file": path, "line": 3, "message": note}], "severity": "error"},
+                       sort_keys=True)
             if json_flag
             else f"{path}:2:{col}: error: KindMismatch: {message}\n{path}:3:14: note: {note}"
         )
@@ -694,9 +702,38 @@ class TestCheck:
         if json_flag:
             diag = json.loads(err)
             assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("ConflictingKind", 2, col, message)
-            assert diag["notes"] == [note]
+            assert diag["notes"] == [{"file": path, "line": 3, "col": 14, "message": note}]
         else:
             assert err == f"{path}:2:{col}: error: ConflictingKind: {message}\n{path}:3:14: note: {note}\n"
+
+    # A fault of a named ontology is printed once, however many targets reach
+    # it: O2 and O3 fail with O's error, which check has already printed.
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize(
+        "text, col, name, note",
+        [
+            ("library L\nontology O = Class: A and ObjectProperty: A end\n", 23, "A", None),
+            (
+                "library L\npattern P [Class: X] [ObjectProperty: Y] = Class: X and ObjectProperty: Y end\n"
+                "ontology O = P [Class: C] [ObjectProperty: C] end\n",
+                53,
+                "C",
+                "while expanding instantiation of 'P'",
+            ),
+        ],
+    )
+    def test_fault_of_a_reached_ontology_reported_once(self, capsys, tmp_path, text, col, name, note, json_flag):
+        path = write(tmp_path, text + "ontology O2 = O and Class: B end\nontology O3 = O2 end\n")
+        code, out, err = run_cli(["check", path, *json_flag], capsys)
+        assert (code, out) == (2, "")
+        message = f"{name} is used both as Class and as ObjectProperty"
+        if json_flag:
+            diag = json.loads(err)
+            assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("ConflictingKind", 2, col, message)
+            assert diag.get("notes") == ([{"file": path, "line": 3, "col": 14, "message": note}] if note else None)
+        else:
+            notes = f"{path}:3:14: note: {note}\n" if note else ""
+            assert err == f"{path}:2:{col}: error: ConflictingKind: {message}\n{notes}"
 
     def test_bad_argument_is_listed(self, capsys, tmp_path):
         code, out, err = run_cli(["list", write(tmp_path, self.BAD_ARGUMENT)], capsys)
@@ -928,6 +965,28 @@ class TestDeepChains:
             [sys.executable, "-m", "godp", "flatten", path, "--target", "T"], capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Class: A\n", "")
+
+    def test_parentheses_300_deep(self, tmp_path):
+        # Each parenthesis costs three parser frames; the parser stops after
+        # 326.
+        path = write(tmp_path, "library D\nontology T = " + "(" * 300 + "Class: A" + ")" * 300 + " end\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "godp", "flatten", path, "--target", "T"], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Class: A\n", "")
+
+    @pytest.mark.parametrize("command", [["flatten", "--target", "O200"], ["check"]])
+    def test_named_ontologies_chained_200_deep(self, tmp_path, command):
+        # Each reference to a named ontology costs about four frames; the
+        # expander stops after 244 references (246 under check).
+        items = ["ontology O0 = Class: A0 end"]
+        items += [f"ontology O{i} = O{i - 1} and Class: A{i} end" for i in range(1, 201)]
+        path = write(tmp_path, "library D\n" + "\n".join(items) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "godp", command[0], path, *command[1:]], capture_output=True, text=True
+        )
+        expected = "\n\n".join(f"Class: {c}" for c in sorted(f"A{i}" for i in range(201))) + "\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected if command[0] == "flatten" else "", "")
 
 
     def test_check_3000_ontology_cycle(self, tmp_path):

@@ -11,9 +11,8 @@ from godp.names import name
 from godp.parser import parse_library
 from godp.resolver import resolve
 from godp.syntax import (
-    AndExpr,
     Basic,
-    Instantiate,
+    Chain,
     Library,
     OmittedArg,
     OntologyArg,
@@ -23,7 +22,6 @@ from godp.syntax import (
     Ref,
     SymbolArg,
     SymbolParam,
-    Then,
 )
 from tests.conftest import FIXTURES, fixture_text
 from tests.test_lexer import _library_check_text, reference_tokenize
@@ -55,12 +53,12 @@ class TestLibraryStructure:
     def test_extension_shape(self):
         lib = parse_library(DOL_EXAMPLE)
         body = lib.items[1].body
-        assert isinstance(body, Then)
+        assert isinstance(body, Chain) and body.extension
         assert len(body.parts) == 2
         assert (body.span.line, body.span.col) == (12, 3)  # the 'then' token
         assert body.ops == (body.span,)
         left, right = body.parts
-        assert isinstance(left, Ref) and left.name == "Driving"
+        assert isinstance(left, Ref) and left.name == "Driving" and left.args == ()
         assert isinstance(right, Basic)
         assert len(right.axioms) == 2  # one frame: its Declaration and its Domain axiom
 
@@ -91,7 +89,7 @@ class TestArguments:
         lib = parse_library("library L pattern P [Class: A][Class: B][Class: C ?] = Class: A end "
                             "ontology O = P [Class: X] [y] [] end")
         inst = lib.items[1].body
-        assert isinstance(inst, Instantiate)
+        assert isinstance(inst, Ref) and inst.name == "P"
         a, b, c = inst.args
         assert isinstance(a, SymbolArg) and a.kind is EntityKind.CLASS
         assert isinstance(b, SymbolArg) and b.kind is None
@@ -135,10 +133,10 @@ class TestPrecedence:
         text = ("library L ontology A = Class: C end ontology B = Class: D end "
                 "ontology E = A and B then A end")
         body = parse_library(text).items[2].body
-        assert isinstance(body, Then)
+        assert isinstance(body, Chain) and body.extension
         assert len(body.parts) == 2 and len(body.ops) == 1
         conjunction, last = body.parts
-        assert isinstance(conjunction, AndExpr)
+        assert isinstance(conjunction, Chain) and not conjunction.extension
         assert [p.name for p in conjunction.parts] == ["A", "B"]
         assert isinstance(last, Ref) and last.name == "A"
 
@@ -146,7 +144,7 @@ class TestPrecedence:
         text = ("library L ontology A = Class: C end "
                 "ontology E = A then A then A end")
         body = parse_library(text).items[1].body
-        assert isinstance(body, Then)
+        assert isinstance(body, Chain) and body.extension
         assert all(isinstance(p, Ref) for p in body.parts) and len(body.parts) == 3
         assert [op.col for op in body.ops] == _columns(text, "then")
         assert body.span == body.ops[0]
@@ -155,7 +153,7 @@ class TestPrecedence:
         text = ("library L ontology A = Class: C end "
                 "ontology E = A and A and A end")
         body = parse_library(text).items[1].body
-        assert isinstance(body, AndExpr)
+        assert isinstance(body, Chain) and not body.extension
         assert all(isinstance(p, Ref) for p in body.parts) and len(body.parts) == 3
         assert [op.col for op in body.ops] == _columns(text, "and")
         assert body.span == body.ops[0]
@@ -180,7 +178,7 @@ class TestPrecedence:
         text = ("library L ontology A = Class: C end "
                 "ontology E = (Class: D) and A end")
         body = parse_library(text).items[1].body
-        assert isinstance(body, AndExpr)
+        assert isinstance(body, Chain) and not body.extension
         assert len(body.parts) == 2
         assert isinstance(body.parts[0], Basic)
         assert isinstance(body.parts[1], Ref)
@@ -190,10 +188,10 @@ class TestPrecedence:
                 "ontology E = A and (A and A) end "
                 "ontology F = (A then A) then A end")
         lib = parse_library(text)
-        for body, kind in ((lib.items[1].body, AndExpr), (lib.items[2].body, Then)):
-            assert isinstance(body, kind) and len(body.parts) == 2
-            nested = [p for p in body.parts if isinstance(p, kind)]
-            assert len(nested) == 1 and len(nested[0].parts) == 2
+        for body, extension in ((lib.items[1].body, False), (lib.items[2].body, True)):
+            assert isinstance(body, Chain) and body.extension is extension and len(body.parts) == 2
+            nested = [p for p in body.parts if isinstance(p, Chain)]
+            assert len(nested) == 1 and nested[0].extension is extension and len(nested[0].parts) == 2
 
     def test_manchester_and_binds_greedily(self):
         text = ("library L pattern P [Class: X] = Class: X end "
@@ -247,10 +245,8 @@ SPAN_TOKENS = {
     OntologyArg: (LBRACKET, "["),
     OmittedArg: (LBRACKET, "["),
     Ref: (IDENT, None),
-    Instantiate: (IDENT, None),
     Basic: (FRAME_KW, None),
 }
-OPERATORS = {Then: "then", AndExpr: "and"}
 
 
 def kept_spans(node):
@@ -264,14 +260,13 @@ def kept_spans(node):
             stack.extend(n)
         elif hasattr(n, "_fields") and not isinstance(n, Span):
             t = type(n)
-            if t in OPERATORS:
-                out += [(t, op, KEYWORD, OPERATORS[t]) for op in n.ops]
+            if t is Chain:
+                out += [(t, op, KEYWORD, "then" if n.extension else "and") for op in n.ops]
                 assert n.span == n.ops[0]
             elif t in SPAN_TOKENS:
                 kind, value = SPAN_TOKENS[t]
                 if value is None:
-                    value = {Ref: "name", Instantiate: "pattern"}.get(t)
-                    value = getattr(n, value) if value else n.axioms[0].kind.value
+                    value = n.name if t is Ref else n.axioms[0].kind.value
                 out.append((t, n.span, kind, value))
             stack.extend(getattr(n, f) for f in t._fields if f not in ("span", "ops"))
     return out
@@ -287,10 +282,10 @@ class TestKeptSpans:
         for text in texts:
             by_start = {(t[2], t[3]): t for t in reference_tokenize(text)}
             for node_type, span, kind, value in kept_spans(parse_library(text)):
-                seen[node_type] += 1
+                seen[value if node_type is Chain else node_type] += 1
                 token = by_start.get((span.line, span.col))
                 assert token == (kind, value, span.line, span.col, span.end_line, span.end_col), node_type
-        assert set(seen) == set(SPAN_TOKENS) | set(OPERATORS)
+        assert set(seen) == set(SPAN_TOKENS) | {"and", "then"}
 
 
 class TestWorkCount:

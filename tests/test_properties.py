@@ -47,7 +47,7 @@ from godp.names import THING, THING_BASE, StructuredName, name, stratify_name, s
 from godp.ontology import FlatOntology, SigEntry, combine, union
 from godp.parser import parse_frames, parse_library
 from godp.resolver import declared_symbols, detect_cycles, resolve
-from godp.syntax import Basic, Instantiate, Ref, leaves
+from godp.syntax import Basic, Ref, leaves
 
 SUITE = settings(
     max_examples=250,
@@ -672,9 +672,7 @@ def reference_declared_symbols(resolved, item_name, seen=None):
     seen.add(item_name)
     out = set()
     for leaf in leaves(resolved.table[item_name].body):
-        if isinstance(leaf, Instantiate):
-            out.update(reference_declared_symbols(resolved, leaf.pattern, seen))
-        elif isinstance(leaf, Ref):
+        if isinstance(leaf, Ref):
             out.update(reference_declared_symbols(resolved, leaf.name, seen))
         elif isinstance(leaf, Basic):
             out.update(ax.name for ax in leaf.axioms if isinstance(ax, Declaration))

@@ -56,7 +56,9 @@ class TestFrozen:
 class TestConstruction:
     def test_repr(self):
         assert repr(Span(1, 2)) == "Span(line=1, col=2, end_line=1, end_col=2)"
-        assert repr(Ref("O", Span(1, 2))) == "Ref(name='O', span=Span(line=1, col=2, end_line=1, end_col=2))"
+        assert repr(Ref("O", (), Span(1, 2))) == (
+            "Ref(name='O', args=(), span=Span(line=1, col=2, end_line=1, end_col=2))"
+        )
 
     def test_repr_leaves_out_the_cached_hash(self):
         assert repr(name("A")) == "StructuredName(base='A', groups=())"
@@ -74,7 +76,7 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Span(1, 2, 3, 4, 5)
         with pytest.raises(TypeError):
-            Ref("O", Span(1, 2), line=3)
+            Ref("O", (), Span(1, 2), line=3)
 
     def test_post_init_validates(self):
         with pytest.raises(ValueError):
@@ -125,7 +127,7 @@ def record_nodes(*roots) -> list:
 class TestSlots:
     def test_every_record_type_is_slotted(self):
         types = record_types()
-        assert len(types) == 40
+        assert len(types) == 38
         assert [cls.__name__ for cls in types if cls.__dictoffset__] == []
 
     def test_no_instance_has_a_dict(self):

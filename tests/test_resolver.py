@@ -8,7 +8,7 @@ from godp.expansion import expand
 from godp.parser import parse_library
 from godp.names import name
 from godp.resolver import declared_symbols, detect_cycles, resolve
-from godp.syntax import AndExpr, Ref, leaves
+from godp.syntax import Chain, Ref, leaves
 
 from tests.conftest import fixture_text
 
@@ -49,6 +49,18 @@ class TestErrors:
         resolved, codes = resolve_errors(text)
         assert codes == ["ArityMismatch"]
         assert "got 0" in resolved.errors[0].message
+
+    # A pattern takes one argument group per parameter, so one without
+    # parameters is used by its bare name, like a named ontology.
+    def test_zero_parameter_pattern_by_bare_name(self):
+        resolved, codes = resolve_errors("library L pattern P = Class: A end ontology O = P end")
+        assert codes == []
+        assert resolved.references["O"] == ["P"]
+
+    def test_zero_parameter_pattern_takes_no_argument_group(self):
+        resolved, codes = resolve_errors("library L pattern P = Class: A end ontology O = P [] end")
+        assert codes == ["ArityMismatch"]
+        assert resolved.errors[0].message == "pattern 'P' expects 0 argument(s), got 1"
 
     def test_unresolved_reference(self):
         _, codes = resolve_errors("library L ontology O = Nowhere end")
@@ -442,8 +454,8 @@ class TestLeaves:
 
     def test_depth_costs_no_stack(self):
         span = Span(1, 1)
-        expr = Ref("Z", span)
+        expr = Ref("Z", (), span)
         for i in range(20000):
-            expr = AndExpr((Ref(f"A{i}", span), expr), (span,), span)
+            expr = Chain((Ref(f"A{i}", (), span), expr), (span,), span, False)
         names = [leaf.name for leaf in leaves(expr)]
         assert names == [f"A{i}" for i in reversed(range(20000))] + ["Z"]
