@@ -222,8 +222,8 @@ class Expander:
                 onto = self._blocks[key] = FlatOntology.from_axioms(axioms, expr.span)
             return onto
         if isinstance(expr, Ref):
-            pattern = self.resolved.table[expr.name]
-            if isinstance(pattern, OntologyDef):
+            item = self.resolved.table[expr.name]
+            if isinstance(item, OntologyDef):
                 onto, obs = self.expand_item(expr.name)
                 obligations.extend(obs)
                 return onto
@@ -235,9 +235,9 @@ class Expander:
             if args is None:
                 return FlatOntology.from_axioms((), expr.span)
             try:
-                site_subst, obs = check_instantiation(pattern, args, flatten=lambda name: self.expand_item(name)[0])
+                site_subst, obs = check_instantiation(item, args, flatten=lambda name: self.expand_item(name)[0])
                 obligations.extend(obs)
-                return self._eval(pattern.body, obligations, site_subst)
+                return self._eval(item.body, obligations, site_subst)
             except GodpError as exc:
                 note = Diagnostic("note", exc.code, f"while expanding instantiation of {expr.name!r}", expr.span)
                 raise exc.with_note(note) from None
