@@ -10,7 +10,6 @@ from .axioms import (
     AtomicAxiom,
     ClassExpr,
     EntityKind,
-    axioms_equal,
     mentions,
     normalize_axiom,
     render_axiom,
@@ -48,7 +47,6 @@ __all__ = [
     "StructuredName",
     "Substitution",
     "apply_substitution",
-    "axioms_equal",
     "desugar_frames",
     "detect_cycles",
     "emit_manchester",

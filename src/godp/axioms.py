@@ -15,6 +15,9 @@ from .diagnostics import GodpError, Span
 from .names import THING_BASE, StructuredName, substitute_name
 from .record import record
 
+# Builds a record without its __post_init__ check, from values known valid.
+_new = tuple.__new__
+
 
 class EntityKind(enum.Enum):
     CLASS = "Class"
@@ -133,13 +136,12 @@ def render_expr(e: ClassExpr, min_level: int = _LEVEL_OR) -> str:
     cls = type(e)
     if cls is Named:  # the most frequent node: no schema lookups
         return e.name.render()
-    values = cls._values(e)
-    if cls.joiner is None:
-        return cls.template.format(*[
-            render_expr(v, _LEVEL_UNARY) if r is EXPR else v if r is None else v.render()
-            for r, v in zip(cls.roles, values)
-        ])
-    text = cls.joiner.join([render_expr(op, cls.level + 1) for op in values[0]])
+    if cls.joiner is None:  # a loop, not a comprehension: one frame per level
+        parts = []
+        for r, v in zip(cls.roles, e):
+            parts.append(render_expr(v, _LEVEL_UNARY) if r is EXPR else v if r is None else v.render())
+        return cls.template.format(*parts)
+    text = cls.joiner.join([render_expr(op, cls.level + 1) for op in e[0]])
     return text if cls.level >= min_level else "(" + text + ")"
 
 
@@ -285,10 +287,10 @@ class PropertyAssertion(AtomicAxiom, metaclass=record):
 
 def _derive(cls: type) -> None:
     """Precompute from the schema of an axiom or class-expression type what
-    the walks below read, besides the ``_values`` getter that ``record``
-    sets, so that their work per call stays flat: (index, role) of each name
-    or class-expression field, the indices of the class-expression fields,
-    and per choice of subject field the fields of the section text."""
+    the walks below read, so that their work per call stays flat: (index,
+    role) of each name or class-expression field, the indices of the
+    class-expression fields, and per choice of subject field the fields of
+    the section text."""
     cls._positions = tuple((i, r) for i, r in enumerate(cls.roles) if r is not None)
     cls._exprs = tuple(i for i, r in cls._positions if r is EXPR or r is EXPRS)
     cls._text = [tuple(p for p in cls._positions if p[0] != at) for at in range(len(cls.roles))]
@@ -325,18 +327,16 @@ def section_text(ax: AtomicAxiom, at: int) -> str | None:
     constant payload, or the other fields in order; None for a Declaration."""
     if ax.keyword is None or ax.payload is not None:
         return ax.payload
-    values = type(ax)._values(ax)
     parts = []  # _render inlined: this runs once per emitted axiom
     for i, role in ax._text[at]:
-        parts.append(render_expr(values[i]) if role is EXPR else values[i].render())
+        parts.append(render_expr(ax[i]) if role is EXPR else ax[i].render())
     return " ".join(parts)
 
 
 def render_axiom(ax: AtomicAxiom) -> str:
     """One-line Manchester frame fragment; used for reports and diffs."""
-    values = type(ax)._values(ax)
     at = ax.subject_at
-    head = f"{ax.frame_kind}: {_render(ax.roles[at], values[at])}"
+    head = f"{ax.frame_kind}: {_render(ax.roles[at], ax[at])}"
     text = section_text(ax, at)
     return head if text is None else f"{head} {ax.keyword}: {text}"
 
@@ -346,12 +346,11 @@ def frame_subject(ax: AtomicAxiom, span: Span | None = None) -> tuple[Structured
     of the field it is in. A class-expression subject must be a named class
     other than owl:Thing; a commutative axiom takes it from either side, the
     first side first. An axiom without one is an error at ``span``."""
-    values = type(ax)._values(ax)
     at = ax.subject_at
     if ax.roles[at] is not EXPR:
-        return values[at], at
+        return ax[at], at
     for at in (0, 1) if ax.commutative else (at,):
-        subject = values[at]
+        subject = ax[at]
         if isinstance(subject, Named) and not subject.is_thing:
             return subject.name, at
     raise GodpError(
@@ -362,7 +361,7 @@ def frame_subject(ax: AtomicAxiom, span: Span | None = None) -> tuple[Structured
 
 
 # ---------------------------------------------------------------------------
-# Normalization and equality
+# Normalization
 # ---------------------------------------------------------------------------
 
 
@@ -374,7 +373,7 @@ def normalize_axiom(node: AtomicAxiom | ClassExpr) -> AtomicAxiom | ClassExpr:
     cls = type(node)
     if not cls._exprs:
         return node
-    values = list(cls._values(node))
+    values = list(node)
     for i in cls._exprs:
         v = values[i]
         if cls.roles[i] is EXPRS:
@@ -383,11 +382,9 @@ def normalize_axiom(node: AtomicAxiom | ClassExpr) -> AtomicAxiom | ClassExpr:
             values[i] = normalize_axiom(v)
     if cls.commutative and render_expr(values[1]) < render_expr(values[0]):
         values.reverse()
-    return cls(*values)
-
-
-def axioms_equal(a: AtomicAxiom, b: AtomicAxiom) -> bool:
-    return normalize_axiom(a) == normalize_axiom(b)
+    # Built unchecked: sorting keeps each operand count, the only checked
+    # field of a conjunction or disjunction; other fields are copied.
+    return _new(cls, values)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +401,14 @@ def referenced_kinds(node: AtomicAxiom | ClassExpr, pairs: list | None = None) -
     if type(node) is Named:  # the most frequent node: no schema lookups
         pairs.append((node.name, EntityKind.CLASS))
         return pairs
-    values = type(node)._values(node)
     for i, role in node._positions:
         if role is EXPR:
-            referenced_kinds(values[i], pairs)
+            referenced_kinds(node[i], pairs)
         elif role is EXPRS:
-            for op in values[i]:
+            for op in node[i]:
                 referenced_kinds(op, pairs)
         else:
-            pairs.append((values[i], node.kind if role is DECLARED else role))
+            pairs.append((node[i], node.kind if role is DECLARED else role))
     return pairs
 
 
@@ -433,9 +429,11 @@ def map_axiom_names(node: AtomicAxiom | ClassExpr, fn) -> AtomicAxiom | ClassExp
     """Apply ``fn`` to every entity-position name of an axiom or class
     expression, in textual order."""
     cls = type(node)
+    # Each node is built unchecked: the operand count of a conjunction or
+    # disjunction stays, and a cardinality's bound and count are copied.
     if cls is Named:  # the most frequent node: no schema lookups
-        return Named(fn(node.name))
-    values = list(cls._values(node))
+        return _new(Named, (fn(node.name),))
+    values = list(node)
     for i, role in cls._positions:
         v = values[i]
         if role is EXPR:
@@ -444,7 +442,7 @@ def map_axiom_names(node: AtomicAxiom | ClassExpr, fn) -> AtomicAxiom | ClassExp
             values[i] = tuple([map_axiom_names(op, fn) for op in v])
         else:
             values[i] = fn(v)
-    return cls(*values)
+    return _new(cls, values)
 
 
 def substitute_axiom(ax: AtomicAxiom, mapping: dict[StructuredName, StructuredName]) -> AtomicAxiom:

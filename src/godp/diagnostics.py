@@ -16,13 +16,14 @@ class Span(metaclass=record):
 
     line: int
     col: int
-    end_line: int = 0
-    end_col: int = 0
+    end_line: int
+    end_col: int
 
-    def __post_init__(self) -> None:
-        if self.end_line == 0:
-            object.__setattr__(self, "end_line", self.line)
-            object.__setattr__(self, "end_col", self.col)
+    def __new__(cls, line: int, col: int, end_line: int = 0, end_col: int = 0) -> Span:
+        """A span without an end ends where it starts."""
+        if end_line == 0:
+            end_line, end_col = line, col
+        return tuple.__new__(cls, (line, col, end_line, end_col))
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"

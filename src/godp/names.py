@@ -18,23 +18,19 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 THING_BASE = "owl:Thing"
 
+# Builds a record without its __post_init__ check, from values known valid.
+_new = tuple.__new__
+
 
 class StructuredName(metaclass=record):
     base: str
     groups: tuple[tuple[StructuredName, ...], ...] = ()
-    __slots__ = ("_hash",)
 
     def __post_init__(self) -> None:
         if self.base != THING_BASE and not _IDENT_RE.match(self.base):
             raise ValueError(f"invalid identifier: {self.base!r}")
         if self.base == THING_BASE and self.groups:
             raise ValueError("owl:Thing takes no constituents")
-        # Hashed once: names key every signature, substitution and closure.
-        # A slot, not a field, so equality and repr do not see it.
-        object.__setattr__(self, "_hash", hash((self.base, self.groups)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def is_plain(self) -> bool:
@@ -52,7 +48,8 @@ class StructuredName(metaclass=record):
 
     def closure(self) -> frozenset[StructuredName]:
         """The name, its base as a plain name, and every constituent's closure."""
-        out = {self, StructuredName(self.base)}
+        # The plain base is built unchecked: it comes from an existing name.
+        out = {self, _new(StructuredName, (self.base, ()))}
         for c in self.constituents:
             out |= c.closure()
         return frozenset(out)
@@ -93,10 +90,13 @@ def substitute_name(n: StructuredName, mapping: dict[StructuredName, StructuredN
     new_groups = tuple(
         tuple(substitute_name(c, mapping) for c in group) for group in n.groups
     )
-    base_plain = StructuredName(n.base)
+    # Each name below is built unchecked: its base comes from an existing
+    # name, and owl:Thing, the one base that takes no groups, cannot replace
+    # a base.
+    base_plain = _new(StructuredName, (n.base, ()))
     if base_plain in mapping:
         repl = mapping[base_plain]
         if repl.base == THING_BASE:
             raise GodpError("KindMismatch", f"owl:Thing cannot replace {n.base} in {n}: it takes no constituents")
-        return StructuredName(repl.base, repl.groups + new_groups)
-    return StructuredName(n.base, new_groups)
+        return _new(StructuredName, (repl.base, repl.groups + new_groups))
+    return _new(StructuredName, (n.base, new_groups))

@@ -522,14 +522,28 @@ class TestInternalError:
         # The location is the innermost frame's file name and line, without its directory.
         assert re.search(r"RecursionError in \w+\.py:\d+: ", line)
 
-    def test_deep_class_expression_names_the_record(self, tmp_path):
-        # 493 nested `not`s overflow the stack in a method that record
-        # generated; its file name names the record class.
-        path = write(tmp_path, "library L ontology O = Class: A SubClassOf: " + "not " * 493 + "B end")
-        proc = subprocess.run([sys.executable, "-m", "godp", "check", path], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout) == (4, "")
-        assert proc.stderr.startswith(f"{path}: error: InternalError: RecursionError in ")
-        assert re.search(r"RecursionError in <record \w+>:\d+: ", proc.stderr)
+    def test_deep_class_expression_compiles_up_to_the_parser_limit(self, tmp_path):
+        # A record hashes and compares in C, and every walk of a class
+        # expression takes one frame per level: 900 nested `not`s compile
+        # under check and flatten, in a fresh process at the default
+        # recursion limit. 2,000 overflow the parser's stack, which is one
+        # InternalError located at a bare file name and line.
+        def run(depth, *argv):
+            path = write(tmp_path, "library L ontology O = Class: A SubClassOf: " + "not " * depth + "B end")
+            return subprocess.run([sys.executable, "-m", "godp", *argv, path], capture_output=True, text=True)
+
+        proc = run(900, "check")
+        assert (proc.returncode, proc.stdout) == (0, "")
+        proc = run(900, "flatten", "--target", "O")
+        assert (proc.returncode, proc.stdout) == (0, "Class: A\n  SubClassOf: " + "not " * 900 + "B\n")
+        assert "error" not in proc.stderr
+        path = str(tmp_path / "lib.gdol")
+        for command in (["check"], ["flatten", "--target", "O"]):
+            proc = run(2000, *command)
+            assert (proc.returncode, proc.stdout) == (4, "")
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith(f"{path}: error: InternalError: RecursionError in ")
+            assert re.search(r"RecursionError in \w+\.py:\d+: ", line)
 
 
 class TestCheck:

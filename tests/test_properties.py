@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from godp.axioms import (
+    EXPRS,
     AllValuesFrom,
     And,
     Cardinality,
@@ -33,11 +34,11 @@ from godp.axioms import (
     SomeValuesFrom,
     SubClassOf,
     SubPropertyOf,
-    axioms_equal,
     map_axiom_names,
     mentions,
     normalize_axiom,
     referenced_kinds,
+    substitute_axiom,
 )
 from godp.diagnostics import GodpError, Span
 from godp.emitter import emit_manchester
@@ -174,20 +175,20 @@ class TestNormalizeProperties:
     @SUITE
     @given(general_axioms)
     def test_reflexive(self, ax):
-        assert axioms_equal(ax, ax)
+        assert normalize_axiom(ax) == normalize_axiom(ax)
 
     @SUITE
     @given(general_axioms, general_axioms)
     def test_symmetric(self, a, b):
-        assert axioms_equal(a, b) == axioms_equal(b, a)
+        assert (normalize_axiom(a) == normalize_axiom(b)) == (normalize_axiom(b) == normalize_axiom(a))
 
     @SUITE
     @given(general_axioms)
     def test_transitive_through_commutative_rewrites(self, a):
         b = _flip_axiom(a)
         c = _flip_axiom(b)
-        assert axioms_equal(a, b) and axioms_equal(b, c)
-        assert axioms_equal(a, c)
+        assert normalize_axiom(a) == normalize_axiom(b) and normalize_axiom(b) == normalize_axiom(c)
+        assert normalize_axiom(a) == normalize_axiom(c)
 
 
 class TestSubstitutionProperties:
@@ -206,6 +207,44 @@ class TestSubstitutionProperties:
         (out,) = apply_substitution([ax], s)
         expected = frozenset(substitute_name(n, mapping) for n in mentions(ax))
         assert mentions(out) == expected
+
+
+def _nodes(node):
+    """``node`` and every class expression inside it."""
+    yield node
+    for i in type(node)._exprs:
+        for child in node[i] if type(node).roles[i] is EXPRS else (node[i],):
+            yield from _nodes(child)
+
+
+# Keys are parameters and the bases of structured names; a value may be
+# owl:Thing, which cannot replace a base.
+base_mappings = st.dictionaries(
+    st.sampled_from(PARAM_POOL + CLASS_POOL + PROP_POOL).map(name),
+    st.one_of(structured_class_names, st.just(THING)),
+    max_size=3,
+)
+
+
+class TestUncheckedBuildsAreValid:
+    """substitute_name, closure, map_axiom_names and normalize_axiom build
+    records without the checks of their constructors; every record they
+    return passes those checks unchanged."""
+
+    @SUITE
+    @given(structured_axioms, base_mappings)
+    def test_substituted_and_normalized_records_rebuild_unchanged(self, ax, mapping):
+        try:
+            out = substitute_axiom(ax, mapping)
+        except GodpError as exc:
+            assert exc.code == "KindMismatch" and THING in mapping.values()
+            return
+        for node in (*_nodes(out), *_nodes(normalize_axiom(out)), *_nodes(normalize_axiom(ax))):
+            assert type(node)(*node) == node
+        names = {n for n, _ in referenced_kinds(out)}
+        assert names <= mentions(out)  # every substituted name, and each one's closure
+        for n in mentions(out):
+            assert StructuredName(n.base, n.groups) == n
 
 
 class TestPruningProperties:

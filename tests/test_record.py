@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import godp
-from godp.axioms import Cardinality, DisjointClasses, EquivalentClasses, FunctionalProperty, Named
+from godp.axioms import (
+    Cardinality,
+    DisjointClasses,
+    EquivalentClasses,
+    FunctionalProperty,
+    InverseFunctionalProperty,
+    Named,
+    SubClassOf,
+)
 from godp.diagnostics import Diagnostic, Span
 from godp.expansion import expand
 from godp.names import StructuredName, name
@@ -28,6 +36,23 @@ class TestEquality:
         a, b = c("A"), c("B")
         assert EquivalentClasses(a, b) != DisjointClasses(a, b)
         assert EquivalentClasses(a, b) == EquivalentClasses(c("A"), c("B"))
+
+    def test_same_items_of_another_class_differ(self):
+        # Both hash as the tuple (p,); only the class tells them apart.
+        p = name("p")
+        f, inv = FunctionalProperty(p), InverseFunctionalProperty(p)
+        assert f != inv and not f == inv and hash(f) == hash(inv)
+        assert len({f, inv}) == 2
+        assert {f: 1, inv: 2}[FunctionalProperty(p)] == 1
+
+    def test_never_equals_a_plain_tuple(self):
+        assert Span(1, 2) != (1, 2, 1, 2) and (1, 2, 1, 2) != Span(1, 2)
+        assert not Span(1, 2) == (1, 2, 1, 2) and not (1, 2, 1, 2) == Span(1, 2)
+        assert (1, 2, 1, 2) not in {Span(1, 2)} and Span(1, 2) not in {(1, 2, 1, 2): 0}
+
+    def test_default_end_is_the_start(self):
+        assert Span(3, 4) == Span(3, 4, 3, 4)
+        assert Span(3, 4) != Span(3, 4, 3, 5)
 
     def test_equal_values_hash_equal(self):
         x = StructuredName("rel", ((name("A"), name("B")),))
@@ -51,6 +76,15 @@ class TestFrozen:
         with pytest.raises(AttributeError):
             del n.base
         assert n.base == "A"
+
+    def test_every_field_is_read_only(self):
+        ax = SubClassOf(c("A"), c("B"))
+        for field in ("sub", "sup"):
+            with pytest.raises(AttributeError):
+                setattr(ax, field, c("C"))
+            with pytest.raises(AttributeError):
+                delattr(ax, field)
+        assert ax == SubClassOf(c("A"), c("B"))
 
 
 class TestConstruction:
@@ -93,9 +127,11 @@ class TestSchema:
         assert Cardinality._fields == ("prop", "bound", "n", "filler")
 
     def test_values_through_the_class(self):
+        # A record is the tuple of its field values.
         ax = FunctionalProperty(name("p"))
-        assert FunctionalProperty._values(ax) == (name("p"),)
-        assert Span._values(Span(1, 2)) == (1, 2, 1, 2)
+        assert FunctionalProperty._values(ax) is ax
+        assert tuple(FunctionalProperty._values(ax)) == (name("p"),)
+        assert tuple(Span._values(Span(1, 2))) == (1, 2, 1, 2)
 
 
 def record_types() -> set[type]:
@@ -112,15 +148,16 @@ def record_types() -> set[type]:
 
 
 def record_nodes(*roots) -> list:
-    """The records reachable from ``roots`` through fields and tuples."""
+    """The records reachable from ``roots`` through fields and tuples. A
+    record is a tuple too, so it is recognised by its ``_fields`` first."""
     found, stack = [], list(roots)
     while stack:
         value = stack.pop()
-        if isinstance(value, tuple):
-            stack.extend(value)
-        elif hasattr(type(value), "_fields"):
+        if hasattr(type(value), "_fields"):
             found.append(value)
             stack.extend(type(value)._values(value))
+        elif isinstance(value, tuple):
+            stack.extend(value)
     return found
 
 
@@ -129,6 +166,7 @@ class TestSlots:
         types = record_types()
         assert len(types) == 38
         assert [cls.__name__ for cls in types if cls.__dictoffset__] == []
+        assert [cls.__name__ for cls in types if not issubclass(cls, tuple)] == []
 
     def test_no_instance_has_a_dict(self):
         text = fixture_text("role.gdol")
@@ -139,9 +177,10 @@ class TestSlots:
         assert [node for node in nodes if hasattr(node, "__dict__")] == []
 
     def test_default_is_not_a_class_attribute(self):
-        # The default lives in the generated __init__; the class attribute
-        # of that name is the field's slot.
-        assert type(Span.__dict__["end_line"]).__name__ == "member_descriptor"
+        # The default lives in the generated __new__; the class attribute
+        # of that name reads the field's item.
+        for cls, field in ((Span, "end_line"), (Diagnostic, "notes")):
+            assert type(cls.__dict__[field]).__name__ == "_tuplegetter"
         assert Span(1, 2).end_line == 1 and Diagnostic("error", "X", "m").notes == ()
 
     def test_each_record_is_one_plain_class(self):
