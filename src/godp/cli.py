@@ -48,7 +48,7 @@ class _Session:
 def _parse(path: str, session: _Session) -> Library | int:
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
+            text = f.read().removeprefix("\ufeff")  # a byte-order mark is no token
     except OSError as exc:
         session.emit(Diagnostic("error", "IoError", f"cannot read {path}: {exc.strerror}", file=path))
         return EXIT_IO

@@ -12,18 +12,10 @@ from .record import record
 
 
 class Span(metaclass=record):
-    """Half-open region of source text; line and column are 1-based."""
+    """Where a diagnostic points; line and column are 1-based."""
 
     line: int
     col: int
-    end_line: int
-    end_col: int
-
-    def __new__(cls, line: int, col: int, end_line: int = 0, end_col: int = 0) -> Span:
-        """A span without an end ends where it starts."""
-        if end_line == 0:
-            end_line, end_col = line, col
-        return tuple.__new__(cls, (line, col, end_line, end_col))
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"

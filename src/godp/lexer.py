@@ -82,10 +82,6 @@ _PUNCT = {
 }
 
 
-# Keyword tokens end one column after their text, at the colon.
-_COLON_KINDS = frozenset({FRAME_KW, SECTION_KW, UNSUPPORTED_KW})
-
-
 class TokenStream:
     """The tokens of one text as parallel sequences: the lists ``kinds`` and
     ``values``, and the array ``starts`` (the offset of each token's first
@@ -104,11 +100,10 @@ class TokenStream:
         return len(self.kinds)
 
     def span(self, i: int) -> Span:
-        """Token ``i``'s span; a token ends on the line it starts on."""
+        """The line and column where token ``i`` starts."""
         start = self.starts[i]
         line = bisect_right(self.line_starts, start)
-        col = start - self.line_starts[line - 1] + 1
-        return Span(line, col, line, col + len(self.values[i]) + (self.kinds[i] in _COLON_KINDS))
+        return Span(line, start - self.line_starts[line - 1] + 1)
 
 
 _WORD_TAIL = re.compile(r"\w*")

@@ -271,7 +271,7 @@ class _Parser:
         while self.at(KEYWORD, "then"):
             ops.append(self.span(self.advance()))
             parts.append(self.parse_and_expr())
-        return Chain(tuple(parts), tuple(ops), ops[0], True) if ops else parts[0]
+        return Chain(tuple(parts), tuple(ops), True) if ops else parts[0]
 
     def parse_and_expr(self) -> OntologyExpr:
         parts = [self.parse_unit()]
@@ -279,7 +279,7 @@ class _Parser:
         while self.at(KEYWORD, "and"):
             ops.append(self.span(self.advance()))
             parts.append(self.parse_unit())
-        return Chain(tuple(parts), tuple(ops), ops[0], False) if ops else parts[0]
+        return Chain(tuple(parts), tuple(ops), False) if ops else parts[0]
 
     def parse_unit(self) -> OntologyExpr:
         kind = self.kind
@@ -380,12 +380,12 @@ class _Parser:
         raise self.error("'ontology' or 'pattern'")
 
     def parse_library(self) -> Library:
-        t = self.expect(KEYWORD, "library", expected="'library'")
+        self.expect(KEYWORD, "library", expected="'library'")
         name = self.parse_word("a library name")
         items = []
         while self.kind != EOF:
             items.append(self.parse_item())
-        return Library(name, tuple(items), self.span(t))
+        return Library(name, tuple(items))
 
     def parse_frames_until(self, end: str, expected: str) -> tuple[Frame, ...]:
         frames = []

@@ -13,10 +13,10 @@ The fields are the class's own annotations, in order, and a class-level
 value is a field's default. One ``exec`` compiles the class's ``__new__``
 under the file name ``<record NAME>``, which a traceback shows; it takes
 the fields by position or keyword, and then calls the class's
-``__post_init__``, if it has one, which may only validate the built value. A
-method the class defines itself is kept. ``record`` also sets ``_fields``,
-the field names, and ``_values``, which returns the record itself, the
-tuple of its field values.
+``__post_init__``, if it has one, which may only validate the built value.
+``__getnewargs__`` hands the fields back to that ``__new__``, so a record
+survives ``copy`` and ``pickle``. Any other method the class defines itself
+is kept. ``record`` also sets ``_fields``, the field names.
 
 ``record`` is a function, not a subclass of ``type``, so the class it makes
 is a plain ``type``, one class object, and ``isinstance`` against it takes
@@ -44,6 +44,11 @@ def _ne(self, other) -> bool:
     return type(other) is not type(self) or _tuple_ne(self, other)
 
 
+def _getnewargs(self) -> tuple:
+    # A function, not ``tuple`` itself: a class stored on a class does not bind.
+    return tuple(self)
+
+
 def record(name: str, bases: tuple, body: dict) -> type:
     fields = tuple(body.get("__annotations__", ()))
     defaults = {f: body.pop(f) for f in fields if f in body}
@@ -51,18 +56,17 @@ def record(name: str, bases: tuple, body: dict) -> type:
     body["__slots__"] = ()
     for method, value in (("__eq__", _eq), ("__ne__", _ne), ("__repr__", _repr), ("__hash__", tuple.__hash__)):
         body.setdefault(method, value)
-    if "__new__" not in body:
-        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
-        built = f"_new(_cls, ({''.join(f'{f}, ' for f in fields)}))"
-        source = f"def __new__(_cls, {params}):\n" + (
-            f"    _self = {built}\n    _self.__post_init__()\n    return _self\n"
-            if "__post_init__" in body
-            else f"    return {built}\n"
-        )
-        namespace = {"_defaults": defaults, "_new": tuple.__new__}
-        exec(compile(source, f"<record {name}>", "exec"), namespace)
-        body["__new__"] = namespace["__new__"]
+    body.setdefault("__getnewargs__", _getnewargs)
+    params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+    built = f"_new(_cls, ({''.join(f'{f}, ' for f in fields)}))"
+    source = f"def __new__(_cls, {params}):\n" + (
+        f"    _self = {built}\n    _self.__post_init__()\n    return _self\n"
+        if "__post_init__" in body
+        else f"    return {built}\n"
+    )
+    namespace = {"_defaults": defaults, "_new": tuple.__new__}
+    exec(compile(source, f"<record {name}>", "exec"), namespace)
+    body["__new__"] = namespace["__new__"]
     cls = type(name, bases + (tuple,), body)
     cls._fields = fields
-    cls._values = lambda node: node
     return cls

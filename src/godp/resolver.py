@@ -181,10 +181,14 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
                                 arg.span,
                             )
                     elif isinstance(arg, OntologyArg):
-                        unknown = [s for s, _ in arg.fit if s not in dict(param.symbols)]
+                        sources = [s for s, _ in arg.fit]
+                        unknown = [s for s in sources if s not in dict(param.symbols)]
+                        repeated = [s for i, s in enumerate(sources) if s in sources[:i]]
                         if unknown:
                             message = f"fit maps {unknown[0]}, which is not a symbol of the parameter ({at})"
                             report("UnknownFitSymbol", message, arg.span)
+                        elif repeated:
+                            report("DuplicateName", f"fit maps {repeated[0]} twice ({at})", arg.span)
                     elif arg.kind is not None or not arg.name.is_plain:
                         report("SymbolArgForOntologyParam", f"{at} must name an ontology", arg.span)
                     elif arg.name in in_scope:

@@ -1,8 +1,9 @@
 """AST for pattern-library files: items, parameters, arguments, expressions.
 
-Every node carries a span: the span of its first token, except for the
-operator node ``Chain``, whose ``span`` is that of its first operator token
-and whose ``ops`` hold the span of every operator token.
+Parameters, arguments, items, and the ``Basic`` and ``Ref`` expressions
+carry a ``span``, the line and column of their first token, where a
+diagnostic about them points. ``Library`` carries none, and neither does the
+operator node ``Chain``, whose ``ops`` hold the span of each operator token.
 """
 
 from __future__ import annotations
@@ -74,12 +75,10 @@ class Chain(OntologyExpr, metaclass=record):
     """``parts[0] and parts[1] and ...``, a left-associative union, or with
     ``extension`` ``parts[0] then parts[1] then ...``, a right-associative
     extension. ``ops[i]`` is the span of the operator between ``parts[i]``
-    and ``parts[i + 1]``; ``span`` is ``ops[0]``. A parenthesized part stays
-    one nested part."""
+    and ``parts[i + 1]``. A parenthesized part stays one nested part."""
 
     parts: tuple[OntologyExpr, ...]
     ops: tuple[Span, ...]
-    span: Span
     extension: bool
 
 
@@ -111,7 +110,6 @@ Item = OntologyDef | PatternDef
 class Library(metaclass=record):
     name: str
     items: tuple[Item, ...]
-    span: Span
 
 
 def leaves(expr: OntologyExpr) -> Iterator[OntologyExpr]:

@@ -128,6 +128,26 @@ class TestFlatten:
         else:
             assert err.startswith(f"{path}: error: IoError: ")
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, fixtures_dir):
+        fixture = fixtures_dir / "role.gdol"
+        path = tmp_path / "bom.gdol"
+        path.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+        expected = run_cli(["flatten", str(fixture), "--target", "ProfRoleOntology"], capsys)
+        assert expected[0] == 0 and expected[1]
+        assert run_cli(["flatten", str(path), "--target", "ProfRoleOntology"], capsys) == expected
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    def test_non_utf8_after_a_byte_order_mark_names_its_byte(self, capsys, tmp_path, json_flag):
+        path = tmp_path / "bom.gdol"
+        path.write_bytes(b"\xef\xbb\xbflibrary L\n\xff\n")
+        code, out, err = run_cli(["check", str(path), *json_flag], capsys)
+        assert (code, out) == (3, "")
+        message = f"cannot read {path}: not UTF-8 at byte 13"
+        if json_flag:
+            assert json.loads(err)["message"] == message
+        else:
+            assert err == f"{path}: error: IoError: {message}\n"
+
     def test_keep_structured_names(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
             [
@@ -656,6 +676,25 @@ class TestCheck:
             assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("OntologyArgForSymbolParam", 3, 26, message)
         else:
             assert err == f"{path}:3:26: error: OntologyArgForSymbolParam: {message}\n"
+
+    # A fit that maps one symbol twice is one error at its argument.
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    @pytest.mark.parametrize("fit", ["A |-> B, A |-> C", "A |-> B, A |-> B"])
+    def test_fit_mapping_a_symbol_twice_is_one_error(self, capsys, tmp_path, fit, json_flag):
+        path = write(
+            tmp_path,
+            "library L\nontology N = Class: A Class: B Class: C end\n"
+            f"pattern Q [ontology {{Class: A}}] = Class: Z end\nontology O = Q [N fit {fit}] end\n",
+        )
+        code, out, err = run_cli(["check", path, *json_flag], capsys)
+        assert (code, out) == (1, "")
+        message = "fit maps A twice (argument 1 of Q)"
+        if json_flag:
+            diag = json.loads(err)
+            assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("DuplicateName", 4, 16, message)
+            assert "notes" not in diag
+        else:
+            assert err == f"{path}:4:16: error: DuplicateName: {message}\n"
 
     # A kind clash among a pattern body's literal names is an error where the
     # pattern is written: reported once, under no note, with or without a

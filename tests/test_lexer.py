@@ -59,13 +59,13 @@ PUNCT = {
 
 
 def reference_tokenize(text: str):
-    """(kind, value, line, col, end_line, end_col) per token, or the error
-    as (code, message, line, col, end_line, end_col)."""
+    """(kind, value, line, col) per token, or the error as (code, message,
+    line, col). A token's start and value give its extent."""
     tokens = []
     i, line, col, n = 0, 1, 1, len(text)
 
     def error(message, at_line, at_col):
-        return ("SyntaxError", message, at_line, at_col, at_line, at_col)
+        return ("SyntaxError", message, at_line, at_col)
 
     while i < n:
         c = text[i]
@@ -83,12 +83,12 @@ def reference_tokenize(text: str):
         if c == "|":
             if text[i : i + 3] == "|->":
                 i, col = i + 3, col + 3
-                tokens.append((MAPSTO, "|->", line, start_col, line, col))
+                tokens.append((MAPSTO, "|->", line, start_col))
                 continue
             return error("unexpected character '|' (did you mean '|->'?)", line, col)
         if c in PUNCT:
             i, col = i + 1, col + 1
-            tokens.append((PUNCT[c], c, line, start_col, line, col))
+            tokens.append((PUNCT[c], c, line, start_col))
             continue
         if c.isdigit():
             j = i
@@ -96,7 +96,7 @@ def reference_tokenize(text: str):
                 j += 1
             value = text[i:j]
             col, i = col + j - i, j
-            tokens.append((INT, value, line, start_col, line, col))
+            tokens.append((INT, value, line, start_col))
             continue
         if c.isalpha():
             j = i
@@ -108,7 +108,7 @@ def reference_tokenize(text: str):
             ):
                 j += 6
                 col, i = col + j - i, j
-                tokens.append((OWL_THING, "owl:Thing", line, start_col, line, col))
+                tokens.append((OWL_THING, "owl:Thing", line, start_col))
                 continue
             if j < n and text[j] == ":":
                 j += 1
@@ -121,13 +121,13 @@ def reference_tokenize(text: str):
                     kind = UNSUPPORTED_KW
                 else:
                     return error(f"unknown frame or section keyword '{word}:'", line, start_col)
-                tokens.append((kind, word, line, start_col, line, col))
+                tokens.append((kind, word, line, start_col))
                 continue
             col, i = col + j - i, j
-            tokens.append((KEYWORD if word in KEYWORDS else IDENT, word, line, start_col, line, col))
+            tokens.append((KEYWORD if word in KEYWORDS else IDENT, word, line, start_col))
             continue
         return error(f"unexpected character {c!r}", line, col)
-    tokens.append((EOF, "", line, col, line, col))
+    tokens.append((EOF, "", line, col))
     return tokens
 
 
@@ -137,10 +137,10 @@ def actual(text: str):
         tokens = tokenize(text)
     except GodpError as exc:
         s = exc.span
-        return (exc.code, exc.message, s.line, s.col, s.end_line, s.end_col)
+        return (exc.code, exc.message, s.line, s.col)
     spans = map(tokens.span, range(len(tokens)))
     return [
-        (kind, value, s.line, s.col, s.end_line, s.end_col)
+        (kind, value, s.line, s.col)
         for kind, value, s in zip(tokens.kinds, tokens.values, spans, strict=True)
     ]
 

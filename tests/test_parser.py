@@ -13,7 +13,6 @@ from godp.resolver import resolve
 from godp.syntax import (
     Basic,
     Chain,
-    Library,
     OmittedArg,
     OntologyArg,
     OntologyDef,
@@ -55,8 +54,7 @@ class TestLibraryStructure:
         body = lib.items[1].body
         assert isinstance(body, Chain) and body.extension
         assert len(body.parts) == 2
-        assert (body.span.line, body.span.col) == (12, 3)  # the 'then' token
-        assert body.ops == (body.span,)
+        assert [(op.line, op.col) for op in body.ops] == [(12, 3)]  # the 'then' token
         left, right = body.parts
         assert isinstance(left, Ref) and left.name == "Driving" and left.args == ()
         assert isinstance(right, Basic)
@@ -147,7 +145,6 @@ class TestPrecedence:
         assert isinstance(body, Chain) and body.extension
         assert all(isinstance(p, Ref) for p in body.parts) and len(body.parts) == 3
         assert [op.col for op in body.ops] == _columns(text, "then")
-        assert body.span == body.ops[0]
 
     def test_and_chain_is_one_node(self):
         text = ("library L ontology A = Class: C end "
@@ -156,7 +153,6 @@ class TestPrecedence:
         assert isinstance(body, Chain) and not body.extension
         assert all(isinstance(p, Ref) for p in body.parts) and len(body.parts) == 3
         assert [op.col for op in body.ops] == _columns(text, "and")
-        assert body.span == body.ops[0]
 
     def test_then_right_associative(self):
         # Clashes at both junctions: the right fold meets the last one first.
@@ -236,7 +232,6 @@ class TestDiagnostics:
 # The token whose span each node keeps, as (kind, value); a value of None
 # means the node's own text: its name, kind or keyword.
 SPAN_TOKENS = {
-    Library: (KEYWORD, "library"),
     OntologyDef: (KEYWORD, "ontology"),
     PatternDef: (KEYWORD, "pattern"),
     SymbolParam: (LBRACKET, "["),
@@ -262,7 +257,6 @@ def kept_spans(node):
             t = type(n)
             if t is Chain:
                 out += [(t, op, KEYWORD, "then" if n.extension else "and") for op in n.ops]
-                assert n.span == n.ops[0]
             elif t in SPAN_TOKENS:
                 kind, value = SPAN_TOKENS[t]
                 if value is None:
@@ -286,7 +280,7 @@ class TestKeptSpans:
             for node_type, span, kind, value in kept_spans(parse_library(text)):
                 seen[value if node_type is Chain else node_type] += 1
                 token = by_start.get((span.line, span.col))
-                assert token == (kind, value, span.line, span.col, span.end_line, span.end_col), node_type
+                assert token == (kind, value, span.line, span.col), node_type
         assert set(seen) == set(SPAN_TOKENS) | {"and", "then"}
 
 

@@ -325,6 +325,16 @@ class TestSiteArguments:
                 "UnknownFitSymbol",
                 "fit maps W, which is not a symbol of the parameter (argument 1 of Q)",
             ),
+            # A fit maps each symbol once, even to the same target; an unknown
+            # symbol is the one error of its argument.
+            ("[ontology {Class: A}]", "[N fit A |-> X, A |-> B]", "DuplicateName", "fit maps A twice (argument 1 of Q)"),
+            ("[ontology {Class: A}]", "[N fit A |-> X, A |-> X]", "DuplicateName", "fit maps A twice (argument 1 of Q)"),
+            (
+                "[ontology {Class: A}]",
+                "[N fit A |-> X, A |-> X, W |-> A]",
+                "UnknownFitSymbol",
+                "fit maps W, which is not a symbol of the parameter (argument 1 of Q)",
+            ),
         ],
     )
     def test_bad_argument_reported_once_at_the_argument(self, params, arg, code, message):
@@ -456,6 +466,6 @@ class TestLeaves:
         span = Span(1, 1)
         expr = Ref("Z", (), span)
         for i in range(20000):
-            expr = Chain((Ref(f"A{i}", (), span), expr), (span,), span, False)
+            expr = Chain((Ref(f"A{i}", (), span), expr), (span,), False)
         names = [leaf.name for leaf in leaves(expr)]
         assert names == [f"A{i}" for i in reversed(range(20000))] + ["Z"]
