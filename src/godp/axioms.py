@@ -180,15 +180,6 @@ class AtomicAxiom:
     subject_at = 0
     commutative = False
 
-    @classmethod
-    def from_section(cls, subject: StructuredName, item) -> AtomicAxiom:
-        """The axiom one item of a ``keyword`` section means in the frame of
-        ``subject``; the item is shaped as :data:`SECTION_ITEM_ROLES` says."""
-        values = [] if cls.payload is not None else list(item) if len(cls.roles) > 2 else [item]
-        at = cls.subject_at
-        values.insert(at, Named(subject) if cls.roles[at] is EXPR else subject)
-        return cls(*values)
-
 
 class Declaration(AtomicAxiom, metaclass=record):
     """A frame header: ``name`` is an entity of ``kind``."""
@@ -307,15 +298,6 @@ for _cls in AtomicAxiom.__subclasses__():
     if _cls.keyword is not None:
         _, _types = SECTIONS.setdefault(_cls.keyword, (_cls.frame_kind, {}))
         _types[_cls.payload] = _cls
-
-# section keyword -> roles of the fields one item fills: a one-field item is
-# the value itself, a longer one a tuple; an item of a constant-payload
-# section (no roles) is the payload word.
-SECTION_ITEM_ROLES: dict[str, tuple] = {
-    cls.keyword: () if cls.payload else tuple(r for _, r in cls._text[cls.subject_at])
-    for _, types in SECTIONS.values()
-    for cls in types.values()
-}
 
 
 def _render(role, value) -> str:

@@ -147,8 +147,8 @@ def _signature_text(item: PatternDef) -> str:
         if isinstance(param, SymbolParam):
             groups.append(f"[{param.kind} {param.name}{q}]")
         else:
-            symbols = " ".join(str(n) for n, _ in param.symbols)
-            groups.append(f"[ontology {symbols}{q}]".replace(" ?", "?"))
+            words = " ".join(["ontology", *(str(n) for n, _ in param.symbols)])
+            groups.append(f"[{words}{q}]")
     return "".join(groups)
 
 

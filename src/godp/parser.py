@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from .axioms import (
     EXPR,
-    SECTION_ITEM_ROLES,
     SECTIONS,
     AllValuesFrom,
     And,
+    AtomicAxiom,
     Cardinality,
     ClassExpr,
     EntityKind,
@@ -26,7 +26,7 @@ from .axioms import (
     SomeValuesFrom,
 )
 from .diagnostics import GodpError
-from .frames import Frame, Section, desugar_frames
+from .frames import Frame, desugar_frames
 from .lexer import (
     COMMA,
     EOF,
@@ -211,6 +211,9 @@ class _Parser:
             self.advance()
             digits = self.expect(INT, expected="a non-negative integer")
             text = self.values[digits]
+            if not text.isascii():  # the lexer's INT is a run of any Unicode digits
+                message = f"{text!r} is not a valid count: use ASCII digits"
+                raise GodpError("SyntaxError", message, self.span(digits), self.file)
             try:
                 count = int(text)
             except ValueError:  # more digits than int() converts
@@ -226,7 +229,7 @@ class _Parser:
         t = self.expect(FRAME_KW)
         kind = EntityKind(self.values[t])
         subject = self.parse_name()
-        sections: list[Section] = []
+        axioms: list[AtomicAxiom] = []
         while self.kind == SECTION_KW:
             keyword = self.value
             st = self.advance()
@@ -234,27 +237,30 @@ class _Parser:
             if section_kind is not kind:
                 # Not a section of this frame kind (DataProperty frames have none).
                 raise self.unsupported_section(keyword, kind, st)
-            roles = SECTION_ITEM_ROLES[keyword]
-            items = [self.parse_section_item(roles)]
+            axioms.append(self.parse_section_item(types, subject, st))
             while self.kind == COMMA:
                 self.advance()
-                items.append(self.parse_section_item(roles))
-            for item in () if roles else items:
-                # In a constant-payload section (Characteristics) each item picks the axiom type.
-                if item not in types:
-                    raise self.unsupported_section(f"{keyword}: {item}", kind, st)
-            sections.append(Section(keyword, tuple(items)))
+                axioms.append(self.parse_section_item(types, subject, st))
         if self.kind == UNSUPPORTED_KW:
             raise self.unsupported()
-        return Frame(kind, subject, tuple(sections))
+        return Frame(kind, subject, tuple(axioms))
 
-    def parse_section_item(self, roles: tuple):
-        """One comma-separated section item, shaped as ``roles`` says (see
-        axioms.SECTION_ITEM_ROLES)."""
-        if not roles:
-            return self.values[self.expect(IDENT, expected="a characteristic")]
-        values = [self.parse_class_expr() if role is EXPR else self.parse_name() for role in roles]
-        return values[0] if len(values) == 1 else tuple(values)
+    def parse_section_item(self, types: dict, subject: StructuredName, section_at: int) -> AtomicAxiom:
+        """The axiom one item of the section keyed at token ``section_at``
+        means in the frame of ``subject``, ``types`` being the section's
+        axioms.SECTIONS entry: the fields besides the subject, read as the
+        type's schema names them, or in Characteristics a word naming the type."""
+        cls = types.get(None)
+        if cls is None:
+            word = self.values[self.expect(IDENT, expected="a characteristic")]
+            cls = types.get(word)
+            if cls is None:
+                keyword = self.values[section_at]
+                raise self.unsupported_section(f"{keyword}: {word}", SECTIONS[keyword][0], section_at)
+        at = cls.subject_at
+        values = [self.parse_class_expr() if role is EXPR else self.parse_name() for _, role in cls._text[at]]
+        values.insert(at, Named(subject) if cls.roles[at] is EXPR else subject)
+        return cls(*values)
 
     def parse_basic(self) -> Basic:
         t = self.pos  # a block's span is its first frame keyword's

@@ -74,7 +74,7 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
     uses: list[tuple[PatternDef, dict, set[StructuredName], list[OntologyArg]]] = []
     subjects: set[StructuredName] = set()
     for item in lib.items:
-        if item.name not in table or table[item.name] is not item:
+        if table[item.name] is not item:
             continue  # duplicate definition, already reported
         refs: list[str] = []
         references[item.name] = refs
@@ -216,7 +216,7 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
         report(
             "CyclicReference",
             "cyclic reference: " + " -> ".join(cycle + [cycle[0]]),
-            getattr(resolved.table.get(cycle[0]), "span", None),
+            resolved.table[cycle[0]].span,
         )
     for item, params, free, fitted in uses:
         # A fit target must be declared by the argument ontology.
@@ -229,7 +229,6 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
         if not free.isdisjoint(subjects):
             for declared in declared_symbols(resolved, item.name):
                 free -= _plain_parts(declared)
-                free.discard(declared)
         for n in sorted(free, key=str):
             diagnostics.append(
                 Diagnostic(

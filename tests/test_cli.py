@@ -812,6 +812,15 @@ class TestList:
         assert code == 0
         assert out == "library Empty\n"
 
+    def test_ontology_parameter_declaring_nothing(self, capsys, tmp_path):
+        path = write(
+            tmp_path,
+            "library L\npattern P [ontology {}] [ontology {}?] [ontology { Class: A }?] = Class: X end",
+        )
+        code, out, _ = run_cli(["list", path], capsys)
+        assert code == 0
+        assert out == "library L\npattern P [ontology][ontology?][ontology A?]\n"
+
     def test_stable_output(self, capsys, fixtures_dir):
         code_a, out_a, _ = run_cli(["list", str(fixtures_dir / "role.gdol")], capsys)
         code_b, out_b, _ = run_cli(["list", str(fixtures_dir / "role.gdol")], capsys)

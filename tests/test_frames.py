@@ -1,18 +1,57 @@
 import pytest
 
 from godp.axioms import (
+    ClassAssertion,
     Declaration,
+    DisjointClasses,
     EntityKind,
+    FunctionalProperty,
     Named,
     ObjectPropertyDomain,
     ObjectPropertyRange,
     Or,
+    PropertyAssertion,
     SubClassOf,
 )
 from godp.diagnostics import GodpError
-from godp.frames import desugar_frames
+from godp.frames import Frame, desugar_frames
 from godp.names import name
 from godp.parser import parse_frames
+
+
+X = name("X")
+
+
+class TestFrame:
+    @pytest.mark.parametrize(
+        "text, kind, axioms",
+        [
+            (
+                "Class: X SubClassOf: B, A DisjointWith: C",
+                EntityKind.CLASS,
+                (
+                    SubClassOf(Named(X), Named(name("B"))),
+                    SubClassOf(Named(X), Named(name("A"))),
+                    DisjointClasses(Named(X), Named(name("C"))),
+                ),
+            ),
+            (
+                "Individual: X Facts: p b Types: C",
+                EntityKind.INDIVIDUAL,
+                (PropertyAssertion(name("p"), X, name("b")), ClassAssertion(Named(name("C")), X)),
+            ),
+            (
+                "ObjectProperty: X Characteristics: Functional Domain: C",
+                EntityKind.OBJECT_PROPERTY,
+                (FunctionalProperty(X), ObjectPropertyDomain(X, Named(name("C")))),
+            ),
+        ],
+        ids=["class", "individual", "object-property"],
+    )
+    def test_frame_holds_its_section_axioms_in_textual_order(self, text, kind, axioms):
+        (frame,) = parse_frames(text)
+        assert frame == Frame(kind, X, axioms)
+        assert desugar_frames([frame]) == [Declaration(kind, X), *axioms]
 
 
 class TestDesugar:
@@ -91,9 +130,12 @@ class TestUnsupported:
             parse_frames("ObjectProperty: p Characteristics: Transitive")
         assert exc.value.code == "UnsupportedConstruct"
 
-    def test_every_characteristic_is_checked(self):
+    # An unknown characteristic is reported as its word is read: a bad item
+    # after it is never reached.
+    @pytest.mark.parametrize("items", ["Functional, Transitive", "Transitive, ]"])
+    def test_every_characteristic_is_checked(self, items):
         with pytest.raises(GodpError) as exc:
-            parse_frames("ObjectProperty: p Characteristics: Functional, Transitive")
+            parse_frames(f"ObjectProperty: p Characteristics: {items}")
         assert exc.value.message == (
             "section 'Characteristics: Transitive' is not supported in a ObjectProperty frame"
         )

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from godp.axioms import EntityKind
+from godp.axioms import Cardinality, EntityKind, Named
 from godp.diagnostics import GodpError, Span
 from godp.expansion import expand
 from godp.lexer import FRAME_KW, IDENT, KEYWORD, LBRACKET
@@ -227,6 +227,21 @@ class TestDiagnostics:
         lines = text.split("\n")
         assert 1 <= exc.value.span.line <= len(lines)
         assert 1 <= exc.value.span.col <= len(lines[exc.value.span.line - 1]) + 1
+
+    # The lexer reads any run of Unicode digits as one count token; the
+    # parser accepts ASCII digits only, as it does for names.
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0663", "1\u00b2"])
+    def test_count_must_be_ascii_digits(self, count):
+        with pytest.raises(GodpError) as exc:
+            parse_library(f"library L\nontology O = Class: A SubClassOf: p min {count} C end")
+        assert exc.value.code == "SyntaxError"
+        assert exc.value.message == f"{count!r} is not a valid count: use ASCII digits"
+        assert (exc.value.span.line, exc.value.span.col) == (2, 41)
+
+    def test_count_with_leading_zeros(self):
+        lib = parse_library("library L\nontology O = Class: A SubClassOf: p min 007 C end")
+        axiom = lib.items[0].body.axioms[-1]
+        assert axiom.sup == Cardinality(name("p"), "min", 7, Named(name("C")))
 
 
 # The token whose span each node keeps, as (kind, value); a value of None

@@ -190,7 +190,7 @@ def record_nodes(*roots) -> list:
 class TestSlots:
     def test_every_record_type_is_slotted(self):
         types = record_types()
-        assert len(types) == 38
+        assert len(types) == 37
         assert [cls.__name__ for cls in types if cls.__dictoffset__] == []
         assert [cls.__name__ for cls in types if not issubclass(cls, tuple)] == []
 
