@@ -1,5 +1,8 @@
 """Command-line front door: flatten, check, list, and obligations.
 
+Commands raise, and ``main`` reports: a ``GodpError`` that a command raises
+ends it as one diagnostic. Only this module knows the input's name, and
+``_Session`` names it on every diagnostic it prints.
 Exit codes: 0 success, 1 syntax/resolution errors, 2 semantic errors
 (kinds, arity, collisions, cycles) and usage errors, 3 I/O failures,
 4 internal errors: any other exception (for example a RecursionError on
@@ -11,11 +14,12 @@ goes to standard output.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
 from .axioms import frame_subject
-from .diagnostics import EXIT_IO, EXIT_OK, Diagnostic, GodpError, exit_code_for
+from .diagnostics import EXIT_OK, Diagnostic, GodpError, exit_code_for
 from .emitter import emit_manchester
 from .expansion import expand, stratify_ontology
 from .parser import parse_library
@@ -25,10 +29,15 @@ from .syntax import Library, OntologyDef, PatternDef, SymbolParam
 
 
 class _Session:
-    def __init__(self, json_diagnostics: bool):
+    """Prints to standard error, naming ``path``, the input, wherever a
+    diagnostic names no file."""
+
+    def __init__(self, json_diagnostics: bool, path: str):
         self.json = json_diagnostics
+        self.path = path
 
     def emit(self, diag: Diagnostic) -> None:
+        diag = diag.with_file(self.path)
         print(diag.to_json() if self.json else diag.format(), file=sys.stderr)
 
     def emit_all(self, diags) -> int:
@@ -44,80 +53,83 @@ class _Session:
         self.emit(exc.diagnostic)  # format/to_json carry the note trail
         return exit_code_for(exc.code)
 
+    def summary(self, message: str) -> None:
+        """A line about the input that is no diagnostic: in JSON, the object
+        ``{"file": …, "message": …}``."""
+        line = f"{self.path}: {message}"
+        if self.json:
+            import json
+            line = json.dumps({"file": self.path, "message": message}, sort_keys=True)
+        print(line, file=sys.stderr)
 
-def _parse(path: str, session: _Session) -> Library | int:
+
+class _Reported(Exception):
+    """Ends a command whose errors are printed already; ``args[0]`` is the exit code."""
+
+
+def _parse(path: str) -> Library:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read().removeprefix("\ufeff")  # a byte-order mark is no token
     except OSError as exc:
-        session.emit(Diagnostic("error", "IoError", f"cannot read {path}: {exc.strerror}", file=path))
-        return EXIT_IO
+        raise GodpError("IoError", f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        session.emit(
-            Diagnostic("error", "IoError", f"cannot read {path}: not UTF-8 at byte {exc.start}", file=path)
-        )
-        return EXIT_IO
-    try:
-        return parse_library(text, path)
-    except GodpError as exc:
-        return session.fail(exc.with_file(path))
+        raise GodpError("IoError", f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+    return parse_library(text)
 
 
-def _parse_and_resolve(path: str, session: _Session) -> ResolvedLibrary | int:
-    library = _parse(path, session)
-    if isinstance(library, int):
-        return library
-    resolved = resolve(library, path)
+def _parse_and_resolve(path: str, session: _Session) -> ResolvedLibrary:
+    resolved = resolve(_parse(path))
     code = session.emit_all(resolved.diagnostics)
-    return resolved if code == EXIT_OK else code
+    if code != EXIT_OK:
+        raise _Reported(code)
+    return resolved
 
 
-def _write_output(text: str, output: str | None, session: _Session) -> int:
-    if output is None:
-        sys.stdout.write(text)
-        return EXIT_OK
+def _write_output(text: str, output: str | None) -> None:
+    """Write ``text`` to the file ``output``, or to standard output if None."""
     try:
-        with open(output, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        if output is not None:
+            with open(output, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+        elif sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except OSError as exc:
-        session.emit(Diagnostic("error", "IoError", f"cannot write {output}: {exc.strerror}", file=output))
-        return EXIT_IO
-    return EXIT_OK
+        if output is None and sys.stdout is not None:  # the exit flush then writes to os.devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        name = output or "standard output"
+        raise GodpError("IoError", f"cannot write {name}: {exc.strerror}", file=output) from None
 
 
 def cmd_flatten(args: argparse.Namespace, session: _Session) -> int:
     resolved = _parse_and_resolve(args.input, session)
-    if isinstance(resolved, int):
-        return resolved
-    try:
-        result = expand(resolved, args.target, args.input)
-        ontology = result.ontology
-        span = resolved.table[args.target].span
-        if not args.keep_structured_names:
-            ontology = stratify_ontology(ontology, span)
-        text = emit_manchester(ontology, args.keep_structured_names, span)
-    except GodpError as exc:
-        return session.fail(exc.with_file(args.input))
+    result = expand(resolved, args.target)
+    ontology = result.ontology
+    span = resolved.table[args.target].span
+    if not args.keep_structured_names:
+        ontology = stratify_ontology(ontology, span)
+    text = emit_manchester(ontology, args.keep_structured_names, span)
     session.emit_all(result.warnings)
     if result.obligations:
-        print(f"{args.input}: {len(result.obligations)} proof obligation(s)", file=sys.stderr)
-    return _write_output(text, args.output, session)
+        session.summary(f"{len(result.obligations)} proof obligation(s)")
+    _write_output(text, args.output)
+    return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace, session: _Session) -> int:
     resolved = _parse_and_resolve(args.input, session)
-    if isinstance(resolved, int):
-        return resolved
     worst = EXIT_OK
     printed: set[Diagnostic] = set()
     for name in resolved.ontology_names():
         span = resolved.table[name].span
         try:
-            result = expand(resolved, name, args.input)
+            result = expand(resolved, name)
             for ax in stratify_ontology(result.ontology, span).axioms:
                 frame_subject(ax, span)
         except GodpError as exc:
-            exc = exc.with_file(args.input)
             if exc.diagnostic not in printed:  # a fault of an ontology that several targets reach
                 printed.add(exc.diagnostic)
                 worst = max(worst, session.fail(exc))
@@ -127,16 +139,14 @@ def cmd_check(args: argparse.Namespace, session: _Session) -> int:
 
 
 def cmd_list(args: argparse.Namespace, session: _Session) -> int:
-    library = _parse(args.input, session)
-    if isinstance(library, int):
-        return library
+    library = _parse(args.input)
     lines = [f"library {library.name}"]
     for item in library.items:
         if isinstance(item, OntologyDef):
             lines.append(f"ontology {item.name}")
         else:
             lines.append(f"pattern {item.name} {_signature_text(item)}".rstrip())
-    print("\n".join(lines))
+    _write_output("\n".join(lines) + "\n", None)
     return EXIT_OK
 
 
@@ -153,16 +163,10 @@ def _signature_text(item: PatternDef) -> str:
 
 
 def cmd_obligations(args: argparse.Namespace, session: _Session) -> int:
-    resolved = _parse_and_resolve(args.input, session)
-    if isinstance(resolved, int):
-        return resolved
-    try:
-        result = expand(resolved, args.target, args.input)
-    except GodpError as exc:
-        return session.fail(exc.with_file(args.input))
+    result = expand(_parse_and_resolve(args.input, session), args.target)
     session.emit_all(result.warnings)
-    text = render_report(result.obligations, args.input)
-    return _write_output(text, args.output, session)
+    _write_output(render_report(result.obligations, args.input), args.output)
+    return EXIT_OK
 
 
 # Each command declares only the options it reads.
@@ -200,18 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # usage errors exit 2 through SystemExit
-    session = _Session(args.json_diagnostics)
+    session = _Session(args.json_diagnostics, args.input)
     try:
         return args.func(args, session)
+    except _Reported as exc:
+        return exc.args[0]
+    except GodpError as exc:
+        return session.fail(exc)
     except Exception as exc:  # last resort: a diagnostic, not a traceback
         tb = exc.__traceback__
         while tb.tb_next is not None:  # the innermost frame: where it was raised
             tb = tb.tb_next
         where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
         message = f"{type(exc).__name__} in {where}: {exc}"
-        diag = Diagnostic("error", "InternalError", message, file=args.input)
-        session.emit(diag)
-        return exit_code_for(diag.code)
+        return session.fail(GodpError("InternalError", message))
 
 
 if __name__ == "__main__":  # pragma: no cover

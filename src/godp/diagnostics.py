@@ -98,9 +98,16 @@ class Diagnostic(metaclass=record):
             payload["notes"] = [{**where(n), "message": n.message} for n in self.notes]
         return json.dumps(payload, sort_keys=True)
 
+    def with_file(self, file: str) -> Diagnostic:
+        """This diagnostic with ``file`` named on it and on each note, wherever none is."""
+        notes = tuple(n.with_file(file) for n in self.notes)
+        return Diagnostic(self.severity, self.code, self.message, self.span, self.file or file, notes)
+
 
 class GodpError(Exception):
-    """Any failure with a source position; wraps one primary Diagnostic."""
+    """Any failure with a source position; wraps one primary Diagnostic.
+    No pass names the input file: the CLI names it when it prints. ``file``
+    is set only where a diagnostic names another file, the one written."""
 
     def __init__(
         self,
@@ -123,12 +130,6 @@ class GodpError(Exception):
 
     def with_note(self, note: Diagnostic) -> "GodpError":
         return GodpError(self.code, self.message, self.span, self.file, self.notes + (note,))
-
-    def with_file(self, file: str) -> "GodpError":
-        notes = tuple(
-            Diagnostic(n.severity, n.code, n.message, n.span, n.file or file) for n in self.notes
-        )
-        return GodpError(self.code, self.message, self.span, self.file or file, notes)
 
     def __str__(self) -> str:
         return self.diagnostic.format()

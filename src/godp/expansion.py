@@ -277,33 +277,23 @@ def _substitute_args(args: tuple, subst: Substitution) -> tuple | None:
 # ---------------------------------------------------------------------------
 
 
-def expand(resolved: ResolvedLibrary, target: str, file: str | None = None) -> ExpansionResult:
+def expand(resolved: ResolvedLibrary, target: str) -> ExpansionResult:
     """Flatten ``target``; raises the first error of ``resolved`` if it has one."""
     if resolved.errors:
         first = resolved.errors[0]
-        raise GodpError(first.code, first.message, first.span, first.file)
+        raise GodpError(first.code, first.message, first.span)
     item = resolved.table.get(target)
     if item is None:
-        raise GodpError("UnknownTarget", f"no ontology named {target!r} in the library", file=file)
+        raise GodpError("UnknownTarget", f"no ontology named {target!r} in the library")
     if not isinstance(item, OntologyDef):
-        raise GodpError(
-            "UnknownTarget", f"{target!r} is a pattern; flattening targets an ontology", item.span, file
-        )
-    try:
-        onto, obligations = Expander(resolved).expand_item(target)
-    except GodpError as exc:
-        raise exc.with_file(file) from None
+        raise GodpError("UnknownTarget", f"{target!r} is a pattern; flattening targets an ontology", item.span)
+    onto, obligations = Expander(resolved).expand_item(target)
     # Referencing one named ontology from several places replays its memoized
     # obligations; keep each site's obligation once.
     obligations = tuple(dict.fromkeys(obligations))
+    message = "{} is referenced but never declared (inferred kind {})"
     warnings = [
-        Diagnostic(
-            "warning",
-            "UndeclaredName",
-            f"{n} is referenced but never declared (inferred kind {entry.kind})",
-            item.span,
-            file,
-        )
+        Diagnostic("warning", "UndeclaredName", message.format(n, entry.kind), item.span)
         for n, entry in onto.signature.items()
         if not entry.declared
     ]

@@ -111,7 +111,7 @@ _BLANKS = re.compile(r"[ \t\r\n]+")
 _NEWLINE = re.compile(r"\n")
 
 
-def tokenize(text: str, file: str | None = None) -> TokenStream:
+def tokenize(text: str) -> TokenStream:
     kinds: list[str] = []
     values: list[str] = []
     starts = array("q")
@@ -153,7 +153,7 @@ def tokenize(text: str, file: str | None = None) -> TokenStream:
                 elif value in UNSUPPORTED_KEYWORDS:
                     kind = UNSUPPORTED_KW
                 else:
-                    raise _error(f"unknown frame or section keyword '{value}:'", text, i, file)
+                    raise _error(f"unknown frame or section keyword '{value}:'", text, i)
                 i = j + 1
             else:
                 kind = KEYWORD if value in KEYWORDS else IDENT
@@ -170,9 +170,9 @@ def tokenize(text: str, file: str | None = None) -> TokenStream:
             kind, value = MAPSTO, "|->"
             i += 3
         elif c == "|":
-            raise _error("unexpected character '|' (did you mean '|->'?)", text, i, file)
+            raise _error("unexpected character '|' (did you mean '|->'?)", text, i)
         else:
-            raise _error(f"unexpected character {c!r}", text, i, file)
+            raise _error(f"unexpected character {c!r}", text, i)
         add_kind(kind)
         add_value(value)
         add_start(start)
@@ -185,7 +185,7 @@ def tokenize(text: str, file: str | None = None) -> TokenStream:
     return TokenStream(kinds, values, starts, line_starts)
 
 
-def _error(message: str, text: str, i: int, file: str | None) -> GodpError:
+def _error(message: str, text: str, i: int) -> GodpError:
     """A syntax error at offset ``i`` of ``text``."""
     line_start = text.rfind("\n", 0, i) + 1
-    return GodpError("SyntaxError", message, Span(text.count("\n", 0, i) + 1, i - line_start + 1), file)
+    return GodpError("SyntaxError", message, Span(text.count("\n", 0, i) + 1, i - line_start + 1))

@@ -72,9 +72,8 @@ class _Parser:
     current token's, and ``advance`` returns the index it consumes, from
     which ``span`` builds a ``Span`` only where the tree keeps one."""
 
-    def __init__(self, text: str, file: str | None = None):
-        self.file = file
-        tokens = tokenize(text, file)
+    def __init__(self, text: str):
+        tokens = tokenize(text)
         self.kinds = tokens.kinds
         self.values = tokens.values
         self.span = tokens.span
@@ -103,25 +102,15 @@ class _Parser:
 
     def error(self, expected: str) -> GodpError:
         found = self.value if self.kind != EOF else "end of input"
-        return GodpError(
-            "SyntaxError", f"expected {expected}, found {found!r}", self.span(self.pos), self.file
-        )
+        return GodpError("SyntaxError", f"expected {expected}, found {found!r}", self.span(self.pos))
 
     def unsupported(self) -> GodpError:
-        return GodpError(
-            "UnsupportedConstruct",
-            f"'{self.value}:' is outside the supported subset",
-            self.span(self.pos),
-            self.file,
-        )
+        message = f"'{self.value}:' is outside the supported subset"
+        return GodpError("UnsupportedConstruct", message, self.span(self.pos))
 
     def unsupported_section(self, section: str, kind: EntityKind, at: int) -> GodpError:
-        return GodpError(
-            "UnsupportedConstruct",
-            f"section {section!r} is not supported in a {kind} frame",
-            self.span(at),
-            self.file,
-        )
+        message = f"section {section!r} is not supported in a {kind} frame"
+        return GodpError("UnsupportedConstruct", message, self.span(at))
 
     # -- names ---------------------------------------------------------------
 
@@ -140,7 +129,7 @@ class _Parser:
         else:
             self.advance()
             return word
-        raise GodpError("SyntaxError", message, self.span(self.pos), self.file)
+        raise GodpError("SyntaxError", message, self.span(self.pos))
 
     def parse_name(self) -> StructuredName:
         if self.kind == OWL_THING:
@@ -167,7 +156,7 @@ class _Parser:
         start = self.pos
         n = self.parse_name()
         if not n.is_plain:
-            raise GodpError("SyntaxError", f"{what} must be a plain identifier", self.span(start), self.file)
+            raise GodpError("SyntaxError", f"{what} must be a plain identifier", self.span(start))
         return n
 
     # -- class expressions -----------------------------------------------------
@@ -213,12 +202,12 @@ class _Parser:
             text = self.values[digits]
             if not text.isascii():  # the lexer's INT is a run of any Unicode digits
                 message = f"{text!r} is not a valid count: use ASCII digits"
-                raise GodpError("SyntaxError", message, self.span(digits), self.file)
+                raise GodpError("SyntaxError", message, self.span(digits))
             try:
                 count = int(text)
             except ValueError:  # more digits than int() converts
                 message = f"cardinality of {len(text)} digits is too large"
-                raise GodpError("SyntaxError", message, self.span(digits), self.file) from None
+                raise GodpError("SyntaxError", message, self.span(digits)) from None
             filler = self.parse_primary()
             return Cardinality(n, word, count, filler)
         return Named(n)
@@ -322,9 +311,7 @@ class _Parser:
         n = self.parse_name()
         if self.at(KEYWORD, "fit"):
             if not n.is_plain:
-                raise GodpError(
-                    "SyntaxError", "an ontology argument must be a plain name", self.span(start), self.file
-                )
+                raise GodpError("SyntaxError", "an ontology argument must be a plain name", self.span(start))
             self.advance()
             fit = [self._parse_fit_pair()]
             while self.kind == COMMA:
@@ -404,11 +391,11 @@ class _Parser:
         return tuple(frames)
 
 
-def parse_library(text: str, file: str | None = None) -> Library:
-    return _Parser(text, file).parse_library()
+def parse_library(text: str) -> Library:
+    return _Parser(text).parse_library()
 
 
-def parse_frames(text: str, file: str | None = None) -> tuple[Frame, ...]:
+def parse_frames(text: str) -> tuple[Frame, ...]:
     """Parse a bare Manchester frame document (as produced by the emitter)."""
-    return _Parser(text, file).parse_frames_until(EOF, "a frame")
+    return _Parser(text).parse_frames_until(EOF, "a frame")
 

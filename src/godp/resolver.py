@@ -49,14 +49,14 @@ class ResolvedLibrary:
         return [i.name for i in self.library.items if isinstance(i, OntologyDef)]
 
 
-def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
+def resolve(lib: Library) -> ResolvedLibrary:
     table: dict[str, object] = {}
     order: dict[str, int] = {}
     references: dict[str, list[str]] = {}
     diagnostics: list[Diagnostic] = []
 
     def report(code: str, message: str, span: Span | None) -> None:
-        diagnostics.append(Diagnostic("error", code, message, span, file))
+        diagnostics.append(Diagnostic("error", code, message, span))
 
     for index, item in enumerate(lib.items):
         if item.name in table:
@@ -230,16 +230,9 @@ def resolve(lib: Library, file: str | None = None) -> ResolvedLibrary:
             for declared in declared_symbols(resolved, item.name):
                 free -= _plain_parts(declared)
         for n in sorted(free, key=str):
-            diagnostics.append(
-                Diagnostic(
-                    "warning",
-                    "UnboundSymbol",
-                    f"pattern {item.name!r} mentions {n}, which is neither a"
-                    " parameter nor declared by the body or a referenced ontology",
-                    item.span,
-                    file,
-                )
-            )
+            message = (f"pattern {item.name!r} mentions {n}, which is neither a"
+                       " parameter nor declared by the body or a referenced ontology")
+            diagnostics.append(Diagnostic("warning", "UnboundSymbol", message, item.span))
     return resolved
 
 

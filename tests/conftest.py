@@ -22,8 +22,8 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-def resolve_text(text: str, file: str = "<test>") -> ResolvedLibrary:
-    resolved = resolve(parse_library(text, file), file)
+def resolve_text(text: str) -> ResolvedLibrary:
+    resolved = resolve(parse_library(text))
     assert not resolved.errors, [d.format() for d in resolved.errors]
     return resolved
 
@@ -40,14 +40,14 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def driving() -> ResolvedLibrary:
-    return resolve_text(fixture_text("driving.gdol"), "driving.gdol")
+    return resolve_text(fixture_text("driving.gdol"))
 
 
 @pytest.fixture(scope="session")
 def role() -> ResolvedLibrary:
-    return resolve_text(fixture_text("role.gdol"), "role.gdol")
+    return resolve_text(fixture_text("role.gdol"))
 
 
 @pytest.fixture(scope="session")
 def obligations_lib() -> ResolvedLibrary:
-    return resolve_text(fixture_text("obligations.gdol"), "obligations.gdol")
+    return resolve_text(fixture_text("obligations.gdol"))

@@ -113,6 +113,16 @@ class TestFlatten:
         assert code == 3
         assert err.endswith(f"{output}: error: IoError: cannot write {output}: No such file or directory\n")
 
+    def test_unwritable_output_names_the_output_in_json(self, capsys, tmp_path, fixtures_dir):
+        output = str(tmp_path / "missing" / "out.omn")
+        code, _, err = run_cli(
+            ["flatten", str(fixtures_dir / "driving.gdol"), "--target", "Driving", "--output", output,
+             "--json-diagnostics"],
+            capsys,
+        )
+        diag = json.loads(err.splitlines()[-1])
+        assert (code, diag["code"], diag["file"]) == (3, "IoError", output)
+
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
     def test_non_utf8_input_is_io_error(self, capsys, tmp_path, json_flag):
         path = tmp_path / "latin.gdol"
@@ -521,6 +531,85 @@ class TestErrorPaths:
             assert (code, out, err) == (1, "", expected + "\n")
 
 
+class TestRarePaths:
+    """Paths of the parser, resolver, lexer and expander that the CLI reaches
+    on these inputs alone, each pinned by its output, position and exit code."""
+
+    QN = "library L\nontology N = Class: A end\npattern Q [ontology {Class: A}] = Class: B end\n"
+
+    @pytest.mark.parametrize(
+        "source, argv, code, line",
+        [
+            ("library L\npattern P [Class: P] = Class: P end\n", ["check"], 1,
+             "2:11: error: DuplicateName: parameter P shadows the pattern name"),
+            ("library L\npattern P [Class: X[Y]] = Class: A end\n", ["check"], 1,
+             "2:19: error: SyntaxError: a parameter name must be a plain identifier"),
+            (QN + "ontology O = Q [N fit A[Z] |-> A] end\n", ["check"], 1,
+             "4:23: error: SyntaxError: a fitting-map symbol must be a plain identifier"),
+            (QN + "ontology O = Q [N[Z] fit A |-> A] end\n", ["check"], 1,
+             "4:17: error: SyntaxError: an ontology argument must be a plain name"),
+            ("library L\nontology O = Prefix: x end\n", ["check"], 1,
+             "2:14: error: UnsupportedConstruct: 'Prefix:' is outside the supported subset"),
+            ("library L\npattern Q [ontology {Prefix: x}] = Class: B end\n", ["check"], 1,
+             "2:22: error: UnsupportedConstruct: 'Prefix:' is outside the supported subset"),
+            ("library L\npattern P [Class: X] = Class: X end\nontology O = P [Class: A] end\n",
+             ["flatten", "--target", "P"], 2,
+             "2:1: error: UnknownTarget: 'P' is a pattern; flattening targets an ontology"),
+            # the blocks' literal A clashes; the walk passes over the Ref leaf R [X]
+            ("library L\npattern R [Class: Y] = Class: Y end\n"
+             "pattern Q [Class: X] = R [X] and Class: A and ObjectProperty: A end\n", ["check"], 2,
+             "3:47: error: ConflictingKind: A is used both as Class and as ObjectProperty"),
+        ],
+    )
+    def test_error(self, capsys, tmp_path, source, argv, code, line):
+        path = write(tmp_path, source)
+        command, *options = argv
+        assert run_cli([command, path, *options], capsys) == (code, "", f"{path}:{line}\n")
+
+    def test_site_whose_fit_target_is_omitted_is_deleted_whole(self, capsys, tmp_path):
+        # Q's site maps A to P's omitted X: the site and its obligation go.
+        text = self.QN + "pattern P [Class: X?] = Q [N fit A |-> X] and Class: C end\n"
+        path = write(tmp_path, text + "ontology O = P [] end\nontology O2 = P [Class: A] end\n")
+        assert run_cli(["flatten", path, "--target", "O"], capsys) == (0, "Class: C\n", "")
+        assert run_cli(["obligations", path, "--target", "O"], capsys) == (0, "obligation-count: 0\n", "")
+        code, out, _ = run_cli(["flatten", path, "--target", "O2"], capsys)
+        assert (code, out) == (0, "Class: B\n\nClass: C\n")
+
+    def test_comment_on_the_last_line_without_a_newline(self, capsys, tmp_path):
+        path = write(tmp_path, "library L\nontology O = Class: A end\n%% the end")
+        assert run_cli(["flatten", path, "--target", "O"], capsys) == (0, "Class: A\n", "")
+
+
+class TestClosedStdout:
+    """A standard output closed by its reader is one IoError, exit 3: no
+    InternalError and nothing from the interpreter's exit flush."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("options", [["list"], ["flatten", "--target", "X"], ["obligations", "--target", "X"]])
+    def test_one_io_error(self, tmp_path, options, unbuffered):
+        path = write(tmp_path, "library L\nontology X = Class: A end\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            argv = [sys.executable, "-m", "godp", options[0], path, *options[1:]]
+            proc = subprocess.run(argv, stdout=w, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(w)
+        expected = f"{path}: error: IoError: cannot write standard output: Broken pipe\n"
+        assert (proc.returncode, proc.stderr) == (3, expected)
+
+    def test_no_descriptor_1(self, tmp_path):
+        # Started with descriptor 1 closed, Python has no sys.stdout at all.
+        path = write(tmp_path, "library L\nontology X = Class: A end\n")
+        script = '"$0" -m godp list "$1" >&-'
+        proc = subprocess.run(["sh", "-c", script, sys.executable, path], capture_output=True, text=True)
+        expected = f"{path}: error: IoError: cannot write standard output: Bad file descriptor\n"
+        assert (proc.returncode, proc.stderr) == (3, expected)
+
+
 class TestInternalError:
     """An exception no stage reports itself ends as one InternalError
     diagnostic and exit code 4, never as a traceback."""
@@ -869,6 +958,17 @@ class TestObligations:
         assert code == 0
         assert "1 proof obligation(s)" in err
         assert "obligation" not in out
+
+    @pytest.mark.parametrize("keep", [[], ["--keep-structured-names"]])
+    def test_flatten_count_is_one_json_object(self, capsys, fixtures_dir, keep):
+        path = str(fixtures_dir / "obligations.gdol")
+        code, _, err = run_cli(["flatten", path, "--target", "BeagleTerm", *keep, "--json-diagnostics"], capsys)
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert code == 0
+        assert [d["code"] for d in lines[:-1]] == ["UndeclaredName"]
+        assert lines[-1] == {"file": path, "message": "1 proof obligation(s)"}
+        code, _, err = run_cli(["flatten", path, "--target", "BeagleTerm", *keep], capsys)
+        assert err.splitlines()[-1] == f"{path}: 1 proof obligation(s)"
 
 
 class TestOptionsPerCommand:

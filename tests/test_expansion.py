@@ -20,7 +20,7 @@ from godp.axioms import (
     SubClassOf,
     normalize_axiom,
 )
-from godp.diagnostics import GodpError
+from godp.diagnostics import Diagnostic, GodpError, Span
 from godp.expansion import (
     Expander,
     Substitution,
@@ -788,7 +788,7 @@ class TestResolvedErrors:
             "pattern P [Class: X] = Q [X] end "
             "ontology O = Missing and P [Class: C] end"
         )
-        resolved = resolve(parse_library(text, "lib.gdol"), "lib.gdol")
+        resolved = resolve(parse_library(text))
         first = resolved.errors[0]
         assert [d.code for d in resolved.errors] == ["SymbolArgForOntologyParam", "UnresolvedReference"]
         for target in ("O", "Nowhere"):
@@ -811,10 +811,16 @@ class TestLibraryApiFile:
             ("ontology O = Class: A Domain: B end", 1),  # raised in parsing
         ],
     )
-    def test_expand_errors_carry_the_file(self, body, lines):
+    def test_with_file_names_the_error_and_every_note(self, body, lines):
         with pytest.raises(GodpError) as exc:
-            resolved = resolve(parse_library(f"library L {body}", "lib.gdol"), "lib.gdol")
-            expand(resolved, "O", "lib.gdol")
-        printed = str(exc.value).split("\n")
+            expand(resolve(parse_library(f"library L {body}")), "O")
+        printed = exc.value.diagnostic.with_file("lib.gdol").format().split("\n")
         assert len(printed) == lines
         assert all(line.startswith("lib.gdol:1:") for line in printed)
+
+    def test_with_file_keeps_a_named_file(self):
+        note = Diagnostic("note", "X", "n", Span(1, 2))
+        other = Diagnostic("note", "X", "n", Span(1, 2), "other.gdol")
+        diag = Diagnostic("error", "IoError", "m", None, "out.omn", (note, other))
+        named = diag.with_file("lib.gdol")
+        assert (named.file, [n.file for n in named.notes]) == ("out.omn", ["lib.gdol", "other.gdol"])

@@ -97,7 +97,7 @@ class TestCopy:
 
     values = pytest.mark.parametrize(
         "value",
-        [Span(1, 2), name("A"), parse_library(fixture_text("role.gdol"), "role.gdol")],
+        [Span(1, 2), name("A"), parse_library(fixture_text("role.gdol"))],
         ids=["span", "name", "library"],
     )
 
@@ -196,7 +196,7 @@ class TestSlots:
 
     def test_no_instance_has_a_dict(self):
         text = fixture_text("role.gdol")
-        resolved = resolve(parse_library(text, "role.gdol"), "role.gdol")
+        resolved = resolve(parse_library(text))
         result = expand(resolved, "ProfRoleOntology")
         nodes = record_nodes(resolved.library, result.ontology.axioms, tuple(result.ontology.signature.items()))
         assert len({type(node) for node in nodes}) > 20

@@ -445,11 +445,11 @@ class TestNoCyclicGarbage:
         "fixture", ["role.gdol", "driving.gdol", "obligations.gdol", "collision.gdol"]
     )
     def test_resolve_leaves_no_cycles(self, fixture):
-        library = parse_library(fixture_text(fixture), fixture)
+        library = parse_library(fixture_text(fixture))
         gc.collect()
         gc.disable()
         try:
-            resolve(library, fixture)
+            resolve(library)
             assert gc.collect() == 0
         finally:
             gc.enable()
