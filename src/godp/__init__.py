@@ -3,63 +3,23 @@
 Parses pattern libraries written in a structuring language over an OWL 2
 Manchester-syntax subset, type-checks pattern instantiations, and flattens
 them into plain Manchester-syntax ontologies via substitution, optional-
-parameter pruning, and parameterized-name stratification.
+parameter pruning, and parameterized-name stratification. The package
+exports the pipeline; every other name is imported from its module.
 """
 
-from .axioms import (
-    AtomicAxiom,
-    ClassExpr,
-    EntityKind,
-    mentions,
-    normalize_axiom,
-    render_axiom,
-)
-from .diagnostics import Diagnostic, GodpError, Span
+from .diagnostics import Diagnostic, GodpError
 from .emitter import emit_manchester
-from .expansion import (
-    ExpansionResult,
-    Obligation,
-    Substitution,
-    apply_substitution,
-    expand,
-    prune_omitted,
-    stratify_ontology,
-)
-from .frames import Frame, desugar_frames
-from .names import StructuredName, stratify_name
-from .ontology import FlatOntology
-from .parser import parse_frames, parse_library
-from .report import render_report
-from .resolver import ResolvedLibrary, detect_cycles, resolve
+from .expansion import expand, stratify_ontology
+from .parser import parse_library
+from .resolver import resolve
 
 __all__ = [
-    "AtomicAxiom",
-    "ClassExpr",
     "Diagnostic",
-    "EntityKind",
-    "ExpansionResult",
-    "FlatOntology",
-    "Frame",
     "GodpError",
-    "Obligation",
-    "ResolvedLibrary",
-    "Span",
-    "StructuredName",
-    "Substitution",
-    "apply_substitution",
-    "desugar_frames",
-    "detect_cycles",
     "emit_manchester",
     "expand",
-    "mentions",
-    "normalize_axiom",
-    "parse_frames",
     "parse_library",
-    "prune_omitted",
-    "render_axiom",
-    "render_report",
     "resolve",
-    "stratify_name",
     "stratify_ontology",
 ]
 

@@ -5,10 +5,11 @@ ends it as one diagnostic. Only this module knows the input's name, and
 ``_Session`` names it on every diagnostic it prints.
 Exit codes: 0 success, 1 syntax/resolution errors, 2 semantic errors
 (kinds, arity, collisions, cycles) and usage errors, 3 I/O failures,
-4 internal errors: any other exception (for example a RecursionError on
-input nested too deeply) is reported as one InternalError diagnostic, never
-as a traceback. All diagnostics go to standard error; only requested output
-goes to standard output.
+4 internal errors: any other exception is one InternalError diagnostic
+naming the file and function that raised it, never a traceback; a
+RecursionError on input nested too deeply is one fixed line. All
+diagnostics go to standard error; only requested output goes to standard
+output.
 """
 
 from __future__ import annotations
@@ -211,12 +212,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.args[0]
     except GodpError as exc:
         return session.fail(exc)
+    except RecursionError:  # where the stack ran out, and its text, vary from run to run
+        return session.fail(GodpError("InternalError", "RecursionError: input nested too deeply"))
     except Exception as exc:  # last resort: a diagnostic, not a traceback
         tb = exc.__traceback__
         while tb.tb_next is not None:  # the innermost frame: where it was raised
             tb = tb.tb_next
-        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
-        message = f"{type(exc).__name__} in {where}: {exc}"
+        code = tb.tb_frame.f_code
+        message = f"{type(exc).__name__} in {os.path.basename(code.co_filename)}:{code.co_name}: {exc}"
         return session.fail(GodpError("InternalError", message))
 
 

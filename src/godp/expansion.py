@@ -3,15 +3,16 @@ optional-argument pruning, combination, recursive flattening,
 stratification, and proof obligations.
 
 The resolver has checked each argument against its parameter, once, where it
-is written. Expansion of an instantiation proceeds in this order: the site's
-arguments build a substitution, and each ontology-valued argument is
-flattened and checked for conformance, which yields proof obligations; then
-the body is evaluated under the substitution, left to right. Each block
-holds the axioms the parser desugared it into; axioms mentioning an omitted
-optional parameter are deleted whole and the rest are substituted; a nested
-instantiation whose argument mentions an omitted name is deleted whole, and
-otherwise its arguments are substituted and it is expanded recursively.
-Parameterized names are stratified in a separate final pass.
+is written. Expansion of an instantiation proceeds in this order: one call
+of ``check_instantiation`` builds the site's substitution from its
+arguments, flattening each ontology-valued argument and checking that it
+conforms, which yields proof obligations; then the body is evaluated under
+the substitution, left to right. Each block holds the axioms the parser
+desugared it into; axioms mentioning an omitted optional parameter are
+deleted whole and the rest are substituted; a nested instantiation whose
+argument mentions an omitted name is deleted whole, and otherwise its
+arguments are substituted and it is expanded recursively. Parameterized
+names are stratified in a separate final pass.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .syntax import (
     OntologyArg,
     OntologyDef,
     OntologyExpr,
-    OntologyParam,
     PatternDef,
     Ref,
     SymbolArg,
@@ -91,65 +91,20 @@ def apply_substitution(
     return [substitute_axiom(ax, mapping) for ax in axioms]
 
 
-def conformance_check(
-    param: OntologyParam,
-    arg: OntologyArg,
-    arg_flat: FlatOntology,
-    *,
-    pattern: str,
-    position: int,
-    span: Span | None,
-) -> tuple[dict[StructuredName, StructuredName], list[Obligation]]:
-    """Map every parameter-signature symbol into the argument ontology and
-    return the translated requirement axioms as one proof obligation
-    (entailment is never checked here). Each fit source is a parameter
-    symbol: the resolver has checked it."""
-    explicit = dict(arg.fit)
-    full_fit: dict[StructuredName, StructuredName] = {}
-    for n, kind in param.symbols:
-        target = explicit.get(n, n)
-        entry = arg_flat.signature.get(target)
-        if entry is None or not entry.declared:
-            if n in explicit:
-                raise GodpError(
-                    "FitTargetUndeclared",
-                    f"fit target {target} is not declared in ontology {arg.name!r}"
-                    f" (argument {position} of {pattern})",
-                    span,
-                )
-            raise GodpError(
-                "UnmappedParameterSymbol",
-                f"parameter symbol {n} has no counterpart in ontology {arg.name!r}"
-                f" (argument {position} of {pattern})",
-                span,
-            )
-        if entry.kind is not kind:
-            raise GodpError(
-                "KindMismatch",
-                f"parameter symbol {n} is a {kind} but {target} is declared as"
-                f" {entry.kind} in ontology {arg.name!r} (argument {position} of {pattern})",
-                span,
-            )
-        full_fit[n] = target
-
-    obligations: list[Obligation] = []
-    requirement = [ax for ax in desugar_frames(param.frames) if not isinstance(ax, Declaration)]
-    if requirement:
-        translated = tuple(substitute_axiom(ax, full_fit) for ax in requirement)
-        fit_pairs = tuple(sorted(full_fit.items(), key=lambda p: p[0].render()))
-        obligations.append(Obligation(pattern, position, span, arg.name, fit_pairs, translated))
-    return full_fit, obligations
-
-
 def check_instantiation(pattern: PatternDef, args, *, flatten) -> tuple[Substitution, list[Obligation]]:
     """Build the substitution of one instantiation site and check how its
     argument ontologies conform.
 
     ``args`` are the site's arguments, under the enclosing site's
     substitution, of a resolved library: the resolver has checked each
-    written argument against its parameter, which no substitution undoes.
-    ``flatten`` maps an ontology name to its FlatOntology; it is called
-    only for ontology-valued parameters.
+    written argument against its parameter, which no substitution undoes,
+    and each fit source is a parameter symbol. ``flatten`` maps an ontology
+    name to its FlatOntology; it is called only for ontology-valued
+    parameters. An argument ontology must declare, with the parameter's
+    kind, the image of every parameter symbol under its fit (a symbol the
+    fit leaves out maps to its own name); the parameter's requirement
+    axioms, so translated, are one proof obligation, whose entailment is
+    never checked here.
     """
     mapping: dict[StructuredName, StructuredName] = {}
     omitted: set[StructuredName] = set()
@@ -161,17 +116,31 @@ def check_instantiation(pattern: PatternDef, args, *, flatten) -> tuple[Substitu
         elif isinstance(param, SymbolParam):
             mapping[param.name] = arg.name
         else:
-            if isinstance(arg, SymbolArg):
-                arg = OntologyArg(arg.name.base, (), arg.span)
-            arg_flat = flatten(arg.name)
-            fit, obs = conformance_check(
-                param, arg, arg_flat, pattern=pattern.name, position=position, span=arg.span
-            )
+            # A bare [N] is the ontology N with no explicit fit.
+            name, explicit = (arg.name.base, {}) if isinstance(arg, SymbolArg) else (arg.name, dict(arg.fit))
+            signature = flatten(name).signature
+            where = f"in ontology {name!r} (argument {position} of {pattern.name})"
+            fit: dict[StructuredName, StructuredName] = {}
+            for n, kind in param.symbols:
+                target = fit[n] = explicit.get(n, n)
+                entry = signature.get(target)
+                if entry is None or not entry.declared:
+                    if n in explicit:
+                        message = f"fit target {target} is not declared {where}"
+                        raise GodpError("FitTargetUndeclared", message, arg.span)
+                    message = f"parameter symbol {n} has no counterpart {where}"
+                    raise GodpError("UnmappedParameterSymbol", message, arg.span)
+                if entry.kind is not kind:
+                    message = f"parameter symbol {n} is a {kind} but {target} is declared as {entry.kind} {where}"
+                    raise GodpError("KindMismatch", message, arg.span)
             mapping.update(fit)
-            obligations.extend(obs)
+            requirement = [ax for ax in desugar_frames(param.frames) if not isinstance(ax, Declaration)]
+            if requirement:
+                translated = tuple(substitute_axiom(ax, fit) for ax in requirement)
+                pairs = tuple(sorted(fit.items(), key=lambda p: p[0].render()))
+                obligations.append(Obligation(pattern.name, position, arg.span, name, pairs, translated))
 
-    pairs = tuple(mapping.items())
-    return Substitution(pairs, frozenset(omitted)), obligations
+    return Substitution(tuple(mapping.items()), frozenset(omitted)), obligations
 
 
 # ---------------------------------------------------------------------------
