@@ -128,7 +128,8 @@ def cmd_check(args: argparse.Namespace, session: _Session) -> int:
         span = resolved.table[name].span
         try:
             result = expand(resolved, name)
-            for ax in stratify_ontology(result.ontology, span).axioms:
+            stratify_ontology(result.ontology, span)  # its errors only: a rename moves no frame subject
+            for ax in result.ontology.axioms:
                 frame_subject(ax, span)
         except GodpError as exc:
             if exc.diagnostic not in printed:  # a fault of an ontology that several targets reach

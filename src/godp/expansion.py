@@ -277,7 +277,9 @@ def stratify_ontology(o: FlatOntology, span: Span | None = None) -> FlatOntology
     with one identifier are one name. An ontology without them is returned
     as it is, since no ontology changes once built. ``o``'s signature must
     be the one its axioms imply, as it is for every ontology the expander
-    builds. ``span``, the target ontology's, locates the errors."""
+    builds. ``span``, the target ontology's, locates the errors, all raised
+    here: the rename, built on first read, can only clash (in ``_add``) two
+    names of two kinds with one identifier, and the collision pass rejects those."""
     stratified = {n: stratify_name(n) for n in o.signature if n.groups}
     if not stratified:
         return o

@@ -46,7 +46,8 @@ class FlatOntology:
     declared. The axioms live in one insertion-ordered map from normal form
     to the first axiom seen with that form, so each axiom is normalized once;
     ``axioms`` is the tuple of its values. An ontology is never changed once
-    built, because named ontologies are memoized and shared.
+    built, because named ontologies are memoized and shared; a renamed one
+    (see :meth:`rename`) is built on its first read and then never changed.
     """
 
     __slots__ = ("signature", "axioms", "_keyed")
@@ -78,24 +79,38 @@ class FlatOntology:
         return frozenset(self._keyed)
 
     def rename(self, mapping: dict[StructuredName, StructuredName]) -> "FlatOntology":
-        """A new ontology with each name in ``mapping`` replaced, everywhere.
+        """A new ontology with each name in ``mapping`` replaced, everywhere, built on its first read.
 
         An axiom that mentions no such name keeps its object and its normal
         form; a renamed one is normalized again. Each normal form keeps its
         first axiom, as when the ontology was built. Each renamed name takes
         its old name's place in the signature; if it was there already, the
         two entries merge as in :func:`_add`."""
-        get = mapping.get
+        return _Renamed(self, mapping)
+
+
+class _Renamed(FlatOntology):
+    __slots__ = ("_source", "_mapping")  # the inherited slots stay empty until __getattr__ fills them
+
+    def __init__(self, source: FlatOntology, mapping: dict[StructuredName, StructuredName]) -> None:
+        self._source, self._mapping = source, mapping
+
+    def __getattr__(self, attr: str):
+        if attr not in FlatOntology.__slots__:  # not least _source and _mapping, once dropped
+            raise AttributeError(attr)
+        source, mapping, get = self._source, self._mapping, self._mapping.get
         keyed: dict[AtomicAxiom, AtomicAxiom] = {}
-        for key, ax in self._keyed.items():
+        for key, ax in source._keyed.items():
             if any(n in mapping for n, _ in referenced_kinds(ax)):
                 ax = map_axiom_names(ax, lambda n: get(n, n))
                 key = normalize_axiom(ax)
             keyed.setdefault(key, ax)
         signature: dict[StructuredName, SigEntry] = {}
-        for n, entry in self.signature.items():
+        for n, entry in source.signature.items():
             _add(signature, get(n, n), entry, None)
-        return FlatOntology(signature, keyed)
+        FlatOntology.__init__(self, signature, keyed)
+        del self._source, self._mapping
+        return getattr(self, attr)
 
 
 def combine(left: FlatOntology, right: FlatOntology, span: Span | None = None) -> FlatOntology:

@@ -14,6 +14,7 @@ themselves — self-reference then surfaces as a cycle).
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 from .axioms import Declaration, EntityKind, mentions, referenced_kinds
 from .diagnostics import Diagnostic, Span
@@ -41,7 +42,7 @@ class ResolvedLibrary:
         self.references: dict[str, list[str]] = references  # item name -> referenced item names
         self.diagnostics = diagnostics
 
-    @property
+    @cached_property  # read once per target; resolve appends its last diagnostics before any read
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
 

@@ -1289,3 +1289,52 @@ class TestNormalizationCount:
         assert out.count("\n  Domain: ") == 200
         assert "ObjectProperty: p17_D17\n  Domain: D17\n  Range: R17\n" in out
         assert calls == output_axioms + renamed_axioms
+
+
+class TestCheckBuildsNoRename:
+    """check runs stratification's checks but never reads, so never builds,
+    the renamed ontology; flatten still builds it. A count, not a timing."""
+
+    @staticmethod
+    def _run(monkeypatch, capsys, argv):
+        calls = 0
+        original = godp.ontology.map_axiom_names
+
+        def counting(node, fn):
+            nonlocal calls
+            calls += 1
+            return original(node, fn)
+
+        monkeypatch.setattr(godp.ontology, "map_axiom_names", counting)
+        return (*run_cli(argv, capsys), calls)
+
+    def test_check_renames_nothing(self, monkeypatch, capsys, fixtures_dir):
+        code, out, err, calls = self._run(monkeypatch, capsys, ["check", str(fixtures_dir / "role.gdol")])
+        assert (code, out, err, calls) == (0, "", "", 0)
+
+    def test_check_collision_renames_nothing(self, monkeypatch, capsys, fixtures_dir):
+        path = str(fixtures_dir / "collision.gdol")
+        code, out, err, calls = self._run(monkeypatch, capsys, ["check", path])
+        assert (code, out, calls) == (2, "", 0)
+        assert err == f"{path}:4:1: error: StratificationCollision: A[B_C] and A[B][C] both stratify to 'A_B_C'\n"
+
+    def test_flatten_still_renames(self, monkeypatch, capsys, fixtures_dir):
+        argv = ["flatten", str(fixtures_dir / "role.gdol"), "--target", "ProfRoleOntology"]
+        code, out, err, calls = self._run(monkeypatch, capsys, argv)
+        assert (code, err) == (0, "")
+        assert "ObjectProperty: performsRole_Professor\n" in out
+        assert calls > 0
+
+    def test_failing_rename_fails_flatten_only(self, monkeypatch, capsys, fixtures_dir):
+        """A rename that raises is never reached by check; flatten reports it
+        as one InternalError, exit 4."""
+
+        def failing(node, fn):
+            raise RuntimeError("renamed")
+
+        monkeypatch.setattr(godp.ontology, "map_axiom_names", failing)
+        path = str(fixtures_dir / "role.gdol")
+        assert run_cli(["check", path], capsys) == (0, "", "")
+        code, out, err = run_cli(["flatten", path, "--target", "ProfRoleOntology"], capsys)
+        assert (code, out) == (4, "")
+        assert err.endswith(": error: InternalError: RuntimeError in test_cli.py:failing: renamed\n")

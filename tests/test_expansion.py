@@ -3,6 +3,7 @@ import random
 import pytest
 
 import godp.expansion
+import godp.ontology
 import godp.parser
 from godp.axioms import (
     AllValuesFrom,
@@ -18,7 +19,9 @@ from godp.axioms import (
     Or,
     SomeValuesFrom,
     SubClassOf,
+    map_axiom_names,
     normalize_axiom,
+    referenced_kinds,
 )
 from godp.diagnostics import Diagnostic, GodpError, Span
 from godp.expansion import (
@@ -30,8 +33,8 @@ from godp.expansion import (
     prune_omitted,
     stratify_ontology,
 )
-from godp.names import THING, StructuredName, name
-from godp.ontology import FlatOntology
+from godp.names import THING, StructuredName, name, stratify_name
+from godp.ontology import FlatOntology, _add
 from godp.parser import parse_library
 from godp.resolver import resolve
 
@@ -551,6 +554,87 @@ class TestStratification:
         )
         onto = stratify_ontology(flatten_text(text, "O", stratify=False))
         assert len([1 for n, _ in onto.signature.items() if n == name("A_B")]) == 1
+
+
+FIXTURES = ("role.gdol", "driving.gdol", "obligations.gdol", "collision.gdol")
+
+
+def eager_rename(o, mapping):
+    """Test oracle: FlatOntology.rename as it was when it built its result at
+    once, not on the first read."""
+    get = mapping.get
+    keyed = {}
+    for key, ax in o._keyed.items():
+        if any(n in mapping for n, _ in referenced_kinds(ax)):
+            ax = map_axiom_names(ax, lambda n: get(n, n))
+            key = normalize_axiom(ax)
+        keyed.setdefault(key, ax)
+    signature = {}
+    for n, entry in o.signature.items():
+        _add(signature, get(n, n), entry, None)
+    return FlatOntology(signature, keyed)
+
+
+def fixture_targets():
+    """(fixture, target, unstratified ontology) for every target of the four fixtures."""
+    for fixture in FIXTURES:
+        resolved = resolve_text(fixture_text(fixture))
+        for target in resolved.ontology_names():
+            yield fixture, target, expand(resolved, target).ontology
+
+
+def read(o, first):
+    """Read ``o`` first through ``first``, then through the other two."""
+    views = {
+        "signature": lambda: list(o.signature.items()),
+        "axioms": lambda: o.axioms,
+        "normalized_set": o.normalized_set,
+    }
+    out = {first: views[first]()}
+    out.update((k, view()) for k, view in views.items() if k != first)
+    return out
+
+
+class TestRenameOnFirstRead:
+    """stratify_ontology raises every error when it is called, and its
+    renamed result is built on its first read, whichever read that is."""
+
+    @pytest.mark.parametrize("first", ["signature", "axioms", "normalized_set"])
+    def test_equals_eager_rename_on_every_fixture_target(self, first):
+        renamed = 0
+        for fixture, target, o in fixture_targets():
+            try:
+                out = stratify_ontology(o)
+            except GodpError as exc:
+                assert (fixture, exc.code) == ("collision.gdol", "StratificationCollision")
+                continue
+            mapping = {n: StructuredName(stratify_name(n)) for n in o.signature if n.groups}
+            expected = eager_rename(o, mapping) if mapping else o
+            renamed += bool(mapping)
+            assert read(out, first) == read(expected, first), (fixture, target)
+        assert renamed >= 3  # role.gdol's targets stratify bracketed names
+
+    def test_built_once(self, role, monkeypatch):
+        out = stratify_ontology(expand(role, "ProfRoleOntology").ontology)
+        signature = out.signature
+        monkeypatch.setattr(godp.ontology, "map_axiom_names", None)  # a second build would fail
+        assert out.signature is signature and out.axioms and out.normalized_set()
+        assert any(n.base == "performsRole_Professor" for n in signature)
+
+    def test_collision_raised_by_the_call(self, monkeypatch):
+        o = expand(resolve_text(fixture_text("collision.gdol")), "CollisionDemo").ontology
+        monkeypatch.setattr(godp.ontology, "map_axiom_names", None)  # no rename may run
+        with pytest.raises(GodpError) as exc:
+            stratify_ontology(o)
+        assert exc.value.code == "StratificationCollision"
+
+    def test_unstratified_name_raised_by_the_call(self, monkeypatch):
+        o = flatten_text("library L ontology O = Class: A[owl:Thing] end", "O", stratify=False)
+        monkeypatch.setattr(godp.ontology, "map_axiom_names", None)
+        with pytest.raises(GodpError) as exc:
+            stratify_ontology(o)
+        assert exc.value.code == "UnstratifiedName"
+        assert "A[owl:Thing]" in exc.value.message
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import re
 
 import pytest
 
+from godp import GodpError, expand, parse_library, resolve, stratify_ontology
 from godp.cli import main
 
 from tests.conftest import SUBSTITUTED_ARGUMENT, fixture_text
@@ -100,3 +101,36 @@ def test_mutants_end_in_output_or_error_diagnostic(tmp_path, source):
             assert code == 0 or ": error: " in err, context
             assert "InternalError" not in err and "Traceback" not in err, context
             assert not ARGUMENT_ERROR_AT_A_SITE.search(err), context
+
+
+def test_accepted_stratification_never_fails_when_read():
+    """stratify_ontology raises every error when it is called, though the
+    ontology it returns is renamed on its first read: for every mutant target
+    it accepts, that first read raises nothing."""
+    renamed = rejected = 0
+    for source in sorted(SOURCES):
+        for index in range(MUTANTS):
+            text = mutate(SOURCES[source], random.Random(f"{source}-{index}"))
+            try:
+                resolved = resolve(parse_library(text))
+            except GodpError:
+                continue
+            if resolved.errors:
+                continue
+            for target in resolved.ontology_names():
+                try:
+                    o = expand(resolved, target).ontology
+                except GodpError:
+                    continue
+                try:
+                    out = stratify_ontology(o)
+                except GodpError:
+                    rejected += 1
+                    continue
+                if out is not o:
+                    renamed += 1
+                    try:
+                        out.signature  # the first read builds the rename
+                    except GodpError as exc:
+                        raise AssertionError(f"mutant {source}-{index}, target {target}") from exc
+    assert renamed > 100 and rejected > 10, (renamed, rejected)

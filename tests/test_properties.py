@@ -42,7 +42,7 @@ from godp.axioms import (
 )
 from godp.diagnostics import GodpError, Span
 from godp.emitter import emit_manchester
-from godp.expansion import Substitution, apply_substitution, prune_omitted, stratify_ontology
+from godp.expansion import Substitution, apply_substitution, expand, prune_omitted, stratify_ontology
 from godp.frames import desugar_frames
 from godp.names import THING, THING_BASE, StructuredName, name, stratify_name, substitute_name
 from godp.ontology import FlatOntology, SigEntry, combine, union
@@ -696,6 +696,54 @@ class TestStratifyMatchesReference:
             for ax, source in zip(out.axioms, sources.values()):
                 assert (ax is source) == all(n.is_plain for n, _ in referenced_kinds(source))
         assert (list(o.signature.items()), o.axioms) == before
+
+
+# Names as a library writes them, plain and bracketed, that stratify alike:
+# A[B], A_B and A[X] under X |-> B give A_B; A_B and p[X] are also properties.
+LIBRARY_CLASSES = ["A", "A_B", "A[B]", "A[X]", "A_B_C", "A[B][C]", "A[B,C]", "A[X][C]", "A[B_C]", "A[X_C]"]
+LIBRARY_PROPERTIES = ["p", "p_B", "p[B]", "p[X]", "A_B", "A[X]"]
+
+
+@st.composite
+def colliding_libraries(draw):
+    """A pattern P over these names and up to four targets, each a block
+    that may be joined to an instance of P."""
+    c, p = st.sampled_from(LIBRARY_CLASSES), st.sampled_from(LIBRARY_PROPERTIES)
+    frame = st.one_of(
+        st.builds("Class: {}".format, c),
+        st.builds("Class: {} SubClassOf: {}".format, c, c),
+        st.builds("ObjectProperty: {} Domain: {}".format, p, c),
+        st.builds("Class: {} SubClassOf: {} some {}".format, c, p, c),
+    )
+    frames = st.lists(frame, min_size=1, max_size=4).map(" ".join)
+    lines = ["library L", f"pattern P [Class: X] = {draw(frames)} end"]
+    for i in range(draw(st.integers(1, 4))):
+        use = draw(st.sampled_from(["", "P [Class: B] and ", "P [Class: B_C] and ", "P [Class: A[B]] and "]))
+        lines.append(f"ontology O{i} = {use}{draw(frames)} end")
+    return "\n".join(lines)
+
+
+class TestDeferredRenameNeverFails:
+    """stratify_ontology raises every error when it is called, though its
+    result is renamed on its first read: on every target of a library it
+    accepts, that read raises nothing and matches the reference."""
+
+    @SUITE
+    @given(colliding_libraries())
+    @example("library L\npattern P [Class: X] = Class: A[X] end\nontology O0 = P [Class: B] and Class: A_B end")
+    @example("library L\npattern P [Class: X] = Class: A[X] end\n"
+             "ontology O0 = P [Class: B] and ObjectProperty: A_B Domain: A end")
+    def test_accepted_targets_read_without_error(self, text):
+        try:
+            resolved = resolve(parse_library(text))
+        except GodpError:
+            return
+        for target in [] if resolved.errors else resolved.ontology_names():
+            try:
+                o = expand(resolved, target).ontology
+            except GodpError:
+                continue
+            TestStratifyMatchesReference._check(o)
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,18 @@ class TestUnboundSearch:
         assert [d.code for d in resolved.diagnostics] == ["UnboundSymbol"]
 
 
+class TestErrorsOnce:
+    def test_errors_list_is_built_once_after_every_diagnostic(self):
+        """expand reads ``errors`` once per target: it is one list, holding
+        the cycle that resolve reports after it builds the ResolvedLibrary."""
+        text = ("library L pattern P [Class: X] = P [X] end "
+                "pattern W [Class: X] = Class: X SubClassOf: Y end")
+        resolved = resolve(parse_library(text))
+        assert resolved.errors is resolved.errors
+        assert resolved.errors == [d for d in resolved.diagnostics if d.severity == "error"]
+        assert [d.code for d in resolved.diagnostics] == ["CyclicReference", "UnboundSymbol"]
+
+
 class TestCycles:
     def test_self_loop(self):
         text = "library L pattern P [Class: X] = P [X] end"
