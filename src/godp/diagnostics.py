@@ -8,6 +8,8 @@ errors (kinds, arity, collisions), I/O failures, and internal errors.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .record import record
 
 
@@ -80,7 +82,7 @@ class Diagnostic(metaclass=record):
         """Render as ``file:line:col: severity: message`` (plus note lines)."""
         where = self.file or "<input>"
         if self.span is not None:
-            where = f"{where}:{self.span.line}:{self.span.col}"
+            where = f"{where}:{self.span}"
         label = f"{self.code}: " if self.severity != "note" else ""
         head = f"{where}: {self.severity}: {label}{self.message}"
         if self.notes:
@@ -105,9 +107,9 @@ class Diagnostic(metaclass=record):
 
 
 class GodpError(Exception):
-    """Any failure with a source position; wraps one primary Diagnostic.
-    No pass names the input file: the CLI names it when it prints. ``file``
-    is set only where a diagnostic names another file, the one written."""
+    """Any failure with a source position: ``diagnostic``, the one it reports,
+    whose fields but severity it reads. No pass names the input file: the CLI
+    names it as it prints; ``file`` names only another file, the one written."""
 
     def __init__(
         self,
@@ -117,18 +119,12 @@ class GodpError(Exception):
         file: str | None = None,
         notes: tuple[Diagnostic, ...] = (),
     ):
-        self.code = code
-        self.message = message
-        self.span = span
-        self.file = file
-        self.notes = notes
+        self.diagnostic = Diagnostic("error", code, message, span, file, notes)
         super().__init__(message)
 
-    @property
-    def diagnostic(self) -> Diagnostic:
-        return Diagnostic("error", self.code, self.message, self.span, self.file, self.notes)
+    code, message, span, file, notes = (property(attrgetter(f"diagnostic.{f}")) for f in Diagnostic._fields[1:])
 
-    def with_note(self, note: Diagnostic) -> "GodpError":
+    def with_note(self, note: Diagnostic) -> GodpError:
         return GodpError(self.code, self.message, self.span, self.file, self.notes + (note,))
 
     def __str__(self) -> str:

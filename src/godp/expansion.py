@@ -158,12 +158,12 @@ class Expander:
     def __init__(self, resolved: ResolvedLibrary):
         self.resolved = resolved
         self._memo: dict[str, tuple[FlatOntology, tuple[Obligation, ...]]] = {}
-        # (id of a Basic node, site substitution or None) -> its ontology,
-        # a pure function of the two. The nodes belong to the resolved
-        # library, which this expander keeps alive, so no id is reused. A
-        # block raises no obligation, and an error is not stored, so it is
-        # raised again at the next site.
-        self._blocks: dict[tuple[int, Substitution | None], FlatOntology] = {}
+        # (id of a pattern body's Basic node, site substitution) -> its
+        # ontology, a pure function of the two; a named ontology's blocks are
+        # built once anyway, as _memo keeps it. The library, kept alive here,
+        # owns the nodes, so no id is reused. A block raises no obligation,
+        # and an error is not stored, so it is raised again at the next site.
+        self._blocks: dict[tuple[int, Substitution], FlatOntology] = {}
 
     def expand_item(self, name: str) -> tuple[FlatOntology, tuple[Obligation, ...]]:
         if name in self._memo:
@@ -179,15 +179,15 @@ class Expander:
         """Flatten ``expr``; in a pattern body, ``subst`` is the site's
         substitution, applied to each block and nested instantiation."""
         if isinstance(expr, Basic):
+            if subst is None:
+                return FlatOntology.from_axioms(expr.axioms, expr.span)
             key = (id(expr), subst)
             onto = self._blocks.get(key)
             if onto is None:
-                axioms = expr.axioms
-                if subst is not None:
-                    try:
-                        axioms = apply_substitution(prune_omitted(axioms, subst.omitted), subst)
-                    except GodpError as exc:  # owl:Thing replacing a base; names carry no span
-                        raise GodpError(exc.code, exc.message, expr.span) from None
+                try:
+                    axioms = apply_substitution(prune_omitted(expr.axioms, subst.omitted), subst)
+                except GodpError as exc:  # owl:Thing replacing a base; names carry no span
+                    raise GodpError(exc.code, exc.message, expr.span) from None
                 onto = self._blocks[key] = FlatOntology.from_axioms(axioms, expr.span)
             return onto
         if isinstance(expr, Ref):

@@ -14,8 +14,8 @@ run of ``str.isdigit()`` characters.
 offsets of the tokens as three parallel sequences, read by index. It builds
 no object per token: the kinds are shared constants, each spelling of a word
 is one shared ``str``, and the offsets are machine integers in an ``array``.
-A token's line and column come from its offset by bisecting the offsets of
-the line starts, only when a ``Span`` is asked for.
+A token's or an error's line and column come from its offset by bisecting
+the offsets of the line starts, only when a ``Span`` is asked for.
 """
 
 from __future__ import annotations
@@ -101,9 +101,13 @@ class TokenStream:
 
     def span(self, i: int) -> Span:
         """The line and column where token ``i`` starts."""
-        start = self.starts[i]
-        line = bisect_right(self.line_starts, start)
-        return Span(line, start - self.line_starts[line - 1] + 1)
+        return _locate(self.line_starts, self.starts[i])
+
+
+def _locate(line_starts: array, offset: int) -> Span:
+    """The line and column of ``offset``, given the offset of each line's start."""
+    line = bisect_right(line_starts, offset)
+    return Span(line, offset - line_starts[line - 1] + 1)
 
 
 _WORD_TAIL = re.compile(r"\w*")
@@ -118,6 +122,7 @@ def tokenize(text: str) -> TokenStream:
     add_kind, add_value, add_start = kinds.append, values.append, starts.append
     # One str per spelling: a word's value is the first slice of its text.
     spelling = {}.setdefault
+    line_starts = array("q", [0, *(m.end() for m in _NEWLINE.finditer(text))])
     i = 0
     n = len(text)
 
@@ -153,7 +158,8 @@ def tokenize(text: str) -> TokenStream:
                 elif value in UNSUPPORTED_KEYWORDS:
                     kind = UNSUPPORTED_KW
                 else:
-                    raise _error(f"unknown frame or section keyword '{value}:'", text, i)
+                    message = f"unknown frame or section keyword '{value}:'"
+                    raise GodpError("SyntaxError", message, _locate(line_starts, i))
                 i = j + 1
             else:
                 kind = KEYWORD if value in KEYWORDS else IDENT
@@ -169,10 +175,9 @@ def tokenize(text: str) -> TokenStream:
         elif text.startswith("|->", i):
             kind, value = MAPSTO, "|->"
             i += 3
-        elif c == "|":
-            raise _error("unexpected character '|' (did you mean '|->'?)", text, i)
         else:
-            raise _error(f"unexpected character {c!r}", text, i)
+            what = "'|' (did you mean '|->'?)" if c == "|" else repr(c)
+            raise GodpError("SyntaxError", f"unexpected character {what}", _locate(line_starts, i))
         add_kind(kind)
         add_value(value)
         add_start(start)
@@ -180,12 +185,4 @@ def tokenize(text: str) -> TokenStream:
     add_kind(EOF)
     add_value("")
     add_start(n)
-    line_starts = array("q", [0])
-    line_starts.extend(m.end() for m in _NEWLINE.finditer(text))
     return TokenStream(kinds, values, starts, line_starts)
-
-
-def _error(message: str, text: str, i: int) -> GodpError:
-    """A syntax error at offset ``i`` of ``text``."""
-    line_start = text.rfind("\n", 0, i) + 1
-    return GodpError("SyntaxError", message, Span(text.count("\n", 0, i) + 1, i - line_start + 1))

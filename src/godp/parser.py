@@ -161,19 +161,14 @@ class _Parser:
 
     # -- class expressions -----------------------------------------------------
 
-    def parse_class_expr(self) -> ClassExpr:
-        operands = [self.parse_conjunction()]
-        while self.at(IDENT, "or"):
+    def parse_class_expr(self, inner: bool = False) -> ClassExpr:
+        """An ``or`` of conjunctions; ``inner``, one ``and`` of primaries."""
+        kind, word, node = (KEYWORD, "and", And) if inner else (IDENT, "or", Or)
+        operands = [self.parse_primary() if inner else self.parse_class_expr(True)]
+        while self.at(kind, word):
             self.advance()
-            operands.append(self.parse_conjunction())
-        return operands[0] if len(operands) == 1 else Or(tuple(operands))
-
-    def parse_conjunction(self) -> ClassExpr:
-        operands = [self.parse_primary()]
-        while self.at(KEYWORD, "and"):
-            self.advance()
-            operands.append(self.parse_primary())
-        return operands[0] if len(operands) == 1 else And(tuple(operands))
+            operands.append(self.parse_primary() if inner else self.parse_class_expr(True))
+        return operands[0] if len(operands) == 1 else node(tuple(operands))
 
     def parse_primary(self) -> ClassExpr:
         kind = self.kind
@@ -260,21 +255,15 @@ class _Parser:
 
     # -- ontology expressions ---------------------------------------------------
 
-    def parse_expr(self) -> OntologyExpr:
-        parts = [self.parse_and_expr()]
+    def parse_expr(self, inner: bool = False) -> OntologyExpr:
+        """A ``then`` chain of ``and`` chains; ``inner``, one ``and`` chain of units."""
+        word = "and" if inner else "then"
+        parts = [self.parse_unit() if inner else self.parse_expr(True)]
         ops = []
-        while self.at(KEYWORD, "then"):
+        while self.at(KEYWORD, word):
             ops.append(self.span(self.advance()))
-            parts.append(self.parse_and_expr())
-        return Chain(tuple(parts), tuple(ops), True) if ops else parts[0]
-
-    def parse_and_expr(self) -> OntologyExpr:
-        parts = [self.parse_unit()]
-        ops = []
-        while self.at(KEYWORD, "and"):
-            ops.append(self.span(self.advance()))
-            parts.append(self.parse_unit())
-        return Chain(tuple(parts), tuple(ops), False) if ops else parts[0]
+            parts.append(self.parse_unit() if inner else self.parse_expr(True))
+        return Chain(tuple(parts), tuple(ops), not inner) if ops else parts[0]
 
     def parse_unit(self) -> OntologyExpr:
         kind = self.kind

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import godp.ontology
-from godp.cli import main
+from godp.cli import _write_output, main
+from godp.diagnostics import GodpError, Span
+from godp.expansion import expand
 from godp.parser import parse_library
+from godp.resolver import resolve
 from godp.syntax import OntologyDef
 
 from tests.conftest import SUBSTITUTED_ARGUMENT
@@ -1338,3 +1341,51 @@ class TestCheckBuildsNoRename:
         code, out, err = run_cli(["flatten", path, "--target", "ProfRoleOntology"], capsys)
         assert (code, out) == (4, "")
         assert err.endswith(": error: InternalError: RuntimeError in test_cli.py:failing: renamed\n")
+
+
+class TestOneErrorRecord:
+    """A GodpError keeps the one Diagnostic it reports: every read of
+    ``diagnostic`` is that record, and the error's fields read through it.
+    One error from each layer: the lexer, the parser, the expander with its
+    note trail, and a failed --output write, which names its file."""
+
+    NESTED_SITE = (
+        "library L\npattern Q [Class: c] = Class: c[A] end\npattern P [Class: X] = Q [X] end\n"
+        "ontology O = P [Class: owl:Thing] end\n"
+    )
+
+    @staticmethod
+    def _raised(call, *args) -> GodpError:
+        with pytest.raises(GodpError) as exc:
+            call(*args)
+        error, diagnostic = exc.value, exc.value.diagnostic
+        assert error.diagnostic is diagnostic
+        assert diagnostic.severity == "error"
+        fields = (error.code, error.message, error.span, error.file, error.notes)
+        assert fields == (diagnostic.code, diagnostic.message, diagnostic.span, diagnostic.file, diagnostic.notes)
+        return error
+
+    def test_lexer_error(self):
+        error = self._raised(parse_library, "library L\r\n\tontology O = Class: A $ end")
+        assert (error.code, error.message, error.span, error.notes) == (
+            "SyntaxError", "unexpected character '$'", Span(2, 24), ()
+        )
+
+    def test_parser_error(self):
+        error = self._raised(parse_library, "library L\nontology O = Class: A SubClassOf: (B or C end")
+        assert (error.code, error.message, error.span, error.notes) == (
+            "SyntaxError", "expected ')', found 'end'", Span(2, 43), ()
+        )
+
+    def test_expander_error_with_its_notes(self):
+        error = self._raised(expand, resolve(parse_library(self.NESTED_SITE)), "O")
+        assert (error.code, error.span) == ("KindMismatch", Span(2, 24))
+        assert [(n.message, n.span) for n in error.notes] == [
+            ("while expanding instantiation of 'Q'", Span(3, 24)),
+            ("while expanding instantiation of 'P'", Span(4, 14)),
+        ]
+
+    def test_output_error_names_its_file(self, tmp_path):
+        output = str(tmp_path / "missing" / "out.omn")
+        error = self._raised(_write_output, "Class: A\n", output)
+        assert (error.code, error.span, error.file, error.notes) == ("IoError", None, output, ())

@@ -50,6 +50,8 @@ from godp.parser import parse_frames, parse_library
 from godp.resolver import declared_symbols, detect_cycles, resolve
 from godp.syntax import Basic, Ref, leaves
 
+from tests.conftest import fixture_text
+
 SUITE = settings(
     max_examples=250,
     deadline=None,
@@ -744,6 +746,40 @@ class TestDeferredRenameNeverFails:
             except GodpError:
                 continue
             TestStratifyMatchesReference._check(o)
+
+
+class TestSignatureIsImplied:
+    """stratify_ontology and the deferred rename rely on one rule: an
+    expanded ontology's signature is the one its axioms imply, entry for
+    entry and in order. Checked on every target of the four fixtures and of
+    generated libraries whose targets instantiate a pattern."""
+
+    @staticmethod
+    def _check_targets(text: str) -> int:
+        try:
+            resolved = resolve(parse_library(text))
+        except GodpError:
+            return 0
+        checked = 0
+        for target in [] if resolved.errors else resolved.ontology_names():
+            try:
+                o = expand(resolved, target).ontology
+            except GodpError:
+                continue
+            implied = FlatOntology.from_axioms(o.axioms)
+            assert list(o.signature.items()) == list(implied.signature.items()), target
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("fixture", ["role.gdol", "driving.gdol", "obligations.gdol", "collision.gdol"])
+    def test_fixture_targets(self, fixture):
+        text = fixture_text(fixture)
+        assert self._check_targets(text) == len(resolve(parse_library(text)).ontology_names())
+
+    @SUITE
+    @given(colliding_libraries())
+    def test_generated_targets(self, text):
+        self._check_targets(text)
 
 
 # ---------------------------------------------------------------------------
