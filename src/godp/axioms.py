@@ -20,9 +20,11 @@ _new = tuple.__new__
 
 
 class EntityKind(enum.Enum):
-    CLASS = "Class"
+    """The entity kinds, in the order the emitter writes their frames."""
+
     OBJECT_PROPERTY = "ObjectProperty"
     DATA_PROPERTY = "DataProperty"
+    CLASS = "Class"
     INDIVIDUAL = "Individual"
 
     # Members are singletons compared by identity: hash in C, not through
@@ -71,10 +73,6 @@ class Named(ClassExpr, metaclass=record):
     name: StructuredName
     roles = (EntityKind.CLASS,)
     template = "{}"
-
-    @property
-    def is_thing(self) -> bool:
-        return self.name.base == THING_BASE
 
 
 class SomeValuesFrom(ClassExpr, metaclass=record):
@@ -149,13 +147,6 @@ def render_expr(e: ClassExpr, min_level: int = _LEVEL_OR) -> str:
 # Atomic axioms
 # ---------------------------------------------------------------------------
 
-# Frame section keywords, in the order the emitter writes a frame's sections.
-SECTION_KEYWORDS = (
-    "Characteristics", "Domain", "Range", "InverseOf", "SubPropertyOf",
-    "SubClassOf", "EquivalentTo", "DisjointWith", "Types", "Facts",
-)
-
-
 class AtomicAxiom:
     """Base of the atomic axiom types. Each type states its schema in class
     attributes next to its fields (they are not record fields), and every
@@ -165,7 +156,8 @@ class AtomicAxiom:
       EXPR for a class expression, DECLARED, or None for a constant;
     - ``frame_kind`` and ``keyword``: the frame and the section the axiom is
       written in; ``payload`` is the section's constant text (for
-      Characteristics), or None when the other fields are the payload;
+      Characteristics), or None when the other fields are the payload. The
+      types are defined in the order the emitter writes their sections;
     - ``subject_at``: the index of the field holding the frame subject;
     - ``commutative``: whether the two class expressions may be swapped,
       which normalization sorts and the emitter uses to find a named subject.
@@ -194,27 +186,18 @@ class Declaration(AtomicAxiom, metaclass=record):
         return self.kind
 
 
-class SubClassOf(AtomicAxiom, metaclass=record):
-    sub: ClassExpr
-    sup: ClassExpr
-    roles = (EXPR, EXPR)
-    frame_kind, keyword = EntityKind.CLASS, "SubClassOf"
+class FunctionalProperty(AtomicAxiom, metaclass=record):
+    prop: StructuredName
+    roles = (EntityKind.OBJECT_PROPERTY,)
+    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Characteristics"
+    payload = "Functional"
 
 
-class EquivalentClasses(AtomicAxiom, metaclass=record):
-    a: ClassExpr
-    b: ClassExpr
-    roles = (EXPR, EXPR)
-    frame_kind, keyword = EntityKind.CLASS, "EquivalentTo"
-    commutative = True
-
-
-class DisjointClasses(AtomicAxiom, metaclass=record):
-    a: ClassExpr
-    b: ClassExpr
-    roles = (EXPR, EXPR)
-    frame_kind, keyword = EntityKind.CLASS, "DisjointWith"
-    commutative = True
+class InverseFunctionalProperty(AtomicAxiom, metaclass=record):
+    prop: StructuredName
+    roles = (EntityKind.OBJECT_PROPERTY,)
+    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Characteristics"
+    payload = "InverseFunctional"
 
 
 class ObjectPropertyDomain(AtomicAxiom, metaclass=record):
@@ -238,25 +221,34 @@ class InverseProperties(AtomicAxiom, metaclass=record):
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "InverseOf"
 
 
-class FunctionalProperty(AtomicAxiom, metaclass=record):
-    prop: StructuredName
-    roles = (EntityKind.OBJECT_PROPERTY,)
-    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Characteristics"
-    payload = "Functional"
-
-
-class InverseFunctionalProperty(AtomicAxiom, metaclass=record):
-    prop: StructuredName
-    roles = (EntityKind.OBJECT_PROPERTY,)
-    frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "Characteristics"
-    payload = "InverseFunctional"
-
-
 class SubPropertyOf(AtomicAxiom, metaclass=record):
     sub: StructuredName
     sup: StructuredName
     roles = (EntityKind.OBJECT_PROPERTY, EntityKind.OBJECT_PROPERTY)
     frame_kind, keyword = EntityKind.OBJECT_PROPERTY, "SubPropertyOf"
+
+
+class SubClassOf(AtomicAxiom, metaclass=record):
+    sub: ClassExpr
+    sup: ClassExpr
+    roles = (EXPR, EXPR)
+    frame_kind, keyword = EntityKind.CLASS, "SubClassOf"
+
+
+class EquivalentClasses(AtomicAxiom, metaclass=record):
+    a: ClassExpr
+    b: ClassExpr
+    roles = (EXPR, EXPR)
+    frame_kind, keyword = EntityKind.CLASS, "EquivalentTo"
+    commutative = True
+
+
+class DisjointClasses(AtomicAxiom, metaclass=record):
+    a: ClassExpr
+    b: ClassExpr
+    roles = (EXPR, EXPR)
+    frame_kind, keyword = EntityKind.CLASS, "DisjointWith"
+    commutative = True
 
 
 class ClassAssertion(AtomicAxiom, metaclass=record):
@@ -290,8 +282,8 @@ def _derive(cls: type) -> None:
 for _cls in ClassExpr.__subclasses__():
     _derive(_cls)
 
-# section keyword -> (frame kind, {payload: axiom type}); the payload is None
-# for a section whose items fill the fields besides the subject.
+# section keyword -> (frame kind, {payload: axiom type}), in output order; the
+# payload is None for a section whose items fill the fields besides the subject.
 SECTIONS: dict[str, tuple[EntityKind, dict[str | None, type[AtomicAxiom]]]] = {}
 for _cls in AtomicAxiom.__subclasses__():
     _derive(_cls)
@@ -333,7 +325,7 @@ def frame_subject(ax: AtomicAxiom, span: Span | None = None) -> tuple[Structured
         return ax[at], at
     for at in (0, 1) if ax.commutative else (at,):
         subject = ax[at]
-        if isinstance(subject, Named) and not subject.is_thing:
+        if isinstance(subject, Named) and subject.name.base != THING_BASE:
             return subject.name, at
     raise GodpError(
         "UnsupportedConstruct",

@@ -222,7 +222,3 @@ def main(argv: list[str] | None = None) -> int:
         code = tb.tb_frame.f_code
         message = f"{type(exc).__name__} in {os.path.basename(code.co_filename)}:{code.co_name}: {exc}"
         return session.fail(GodpError("InternalError", message))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

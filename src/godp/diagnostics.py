@@ -120,7 +120,7 @@ class GodpError(Exception):
         notes: tuple[Diagnostic, ...] = (),
     ):
         self.diagnostic = Diagnostic("error", code, message, span, file, notes)
-        super().__init__(message)
+        super().__init__(code, message, span, file, notes)  # pickle and copy call __init__(*args)
 
     code, message, span, file, notes = (property(attrgetter(f"diagnostic.{f}")) for f in Diagnostic._fields[1:])
 

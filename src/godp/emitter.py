@@ -1,26 +1,21 @@
 """Deterministic Manchester-syntax serialization of a flat ontology.
 
-Frames are grouped per entity; entities are ordered ObjectProperties,
-DataProperties, Classes, Individuals, alphabetically within each kind.
-Sections follow a fixed order and axioms keep first-occurrence order inside
-their section, so equal inputs produce byte-identical output.
+Frames are grouped per entity; entities are ordered by kind as EntityKind
+lists them, then alphabetically. Sections follow the order their axiom types
+are defined in and axioms keep first-occurrence order inside their section,
+so equal inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
-from .axioms import SECTION_KEYWORDS, EntityKind, frame_subject, section_text
+from .axioms import SECTIONS, EntityKind, frame_subject, section_text
 from .diagnostics import GodpError, Span
 from .names import StructuredName
 from .ontology import FlatOntology
 
-_KIND_ORDER = {
-    EntityKind.OBJECT_PROPERTY: 0,
-    EntityKind.DATA_PROPERTY: 1,
-    EntityKind.CLASS: 2,
-    EntityKind.INDIVIDUAL: 3,
-}
-
-_SECTION_ORDER = {keyword: i for i, keyword in enumerate(SECTION_KEYWORDS)}
+# The schema's definition order is the output order.
+_KIND_ORDER = {kind: i for i, kind in enumerate(EntityKind)}
+_SECTION_ORDER = {keyword: i for i, keyword in enumerate(SECTIONS)}
 
 
 def emit_manchester(o: FlatOntology, allow_structured: bool = False, span: Span | None = None) -> str:

@@ -48,14 +48,11 @@ class Substitution(metaclass=record):
     mapping: tuple[tuple[StructuredName, StructuredName], ...]
     omitted: frozenset[StructuredName]
 
-    def as_dict(self) -> dict[StructuredName, StructuredName]:
-        return dict(self.mapping)
-
 
 class Obligation(metaclass=record):
     pattern: str
     position: int  # 1-based argument position
-    span: Span | None
+    span: Span
     target: str
     fit: tuple[tuple[StructuredName, StructuredName], ...]
     axioms: tuple[AtomicAxiom, ...]
@@ -87,7 +84,7 @@ def prune_omitted(
 def apply_substitution(
     axioms: list[AtomicAxiom] | tuple[AtomicAxiom, ...], s: Substitution
 ) -> list[AtomicAxiom]:
-    mapping = s.as_dict()
+    mapping = dict(s.mapping)
     return [substitute_axiom(ax, mapping) for ax in axioms]
 
 
@@ -223,7 +220,7 @@ def _substitute_args(args: tuple, subst: Substitution) -> tuple | None:
     """The arguments of an instantiation inside a pattern body, under the
     site's substitution; None if one mentions an omitted name, which deletes
     the instantiation whole."""
-    mapping = subst.as_dict()
+    mapping = dict(subst.mapping)
     out = []
     for arg in args:
         try:

@@ -34,7 +34,7 @@ KEYWORDS = frozenset({"library", "ontology", "pattern", "end", "then", "and", "f
 EXPR_WORDS = frozenset({"some", "only", "not", "min", "max", "exactly", "or"})
 
 FRAME_KEYWORDS = frozenset(kind.value for kind in axioms.EntityKind)
-SECTION_KEYWORDS = frozenset(axioms.SECTION_KEYWORDS)
+SECTION_KEYWORDS = frozenset(axioms.SECTIONS)
 
 # Recognized Manchester constructs outside the supported subset; the parser
 # reports these as UnsupportedConstruct rather than a plain syntax error.

@@ -290,15 +290,10 @@ class _Parser:
         if self.kind == RBRACKET:
             self.advance()
             return OmittedArg(self.span(lb))
-        if self.kind == FRAME_KW:
-            kind = EntityKind(self.value)
-            self.advance()
-            n = self.parse_name()
-            self.expect(RBRACKET, expected="']'")
-            return SymbolArg(kind, n, self.span(lb))
+        kind = EntityKind(self.values[self.advance()]) if self.kind == FRAME_KW else None
         start = self.pos
         n = self.parse_name()
-        if self.at(KEYWORD, "fit"):
+        if kind is None and self.at(KEYWORD, "fit"):
             if not n.is_plain:
                 raise GodpError("SyntaxError", "an ontology argument must be a plain name", self.span(start))
             self.advance()
@@ -309,7 +304,7 @@ class _Parser:
             self.expect(RBRACKET, expected="']'")
             return OntologyArg(n.base, tuple(fit), self.span(lb))
         self.expect(RBRACKET, expected="']'")
-        return SymbolArg(None, n, self.span(lb))
+        return SymbolArg(kind, n, self.span(lb))
 
     def _parse_fit_pair(self) -> tuple[StructuredName, StructuredName]:
         source = self.parse_plain_name("a fitting-map symbol")
@@ -321,45 +316,38 @@ class _Parser:
 
     def parse_param(self) -> Param:
         lb = self.expect(LBRACKET)
-        if self.at(KEYWORD, "ontology"):
+        is_ontology = self.at(KEYWORD, "ontology")
+        if is_ontology:
             self.advance()
             self.expect(LBRACE, expected="'{'")
             frames = self.parse_frames_until(RBRACE, "a frame or '}'")
             self.advance()
-            optional = self._parse_optional_marker()
-            self.expect(RBRACKET, expected="']'")
-            return OntologyParam(frames, optional, self.span(lb))
-        kt = self.expect(FRAME_KW, expected="a parameter kind such as 'Class:'")
-        name = self.parse_plain_name("a parameter name")
-        optional = self._parse_optional_marker()
-        self.expect(RBRACKET, expected="']'")
-        return SymbolParam(EntityKind(self.values[kt]), name, optional, self.span(lb))
-
-    def _parse_optional_marker(self) -> bool:
-        if self.kind == QUESTION:
+        else:
+            kind = EntityKind(self.values[self.expect(FRAME_KW, expected="a parameter kind such as 'Class:'")])
+            name = self.parse_plain_name("a parameter name")
+        optional = self.kind == QUESTION
+        if optional:
             self.advance()
-            return True
-        return False
+        self.expect(RBRACKET, expected="']'")
+        if is_ontology:
+            return OntologyParam(frames, optional, self.span(lb))
+        return SymbolParam(kind, name, optional, self.span(lb))
 
     def parse_item(self):
-        if self.at(KEYWORD, "ontology"):
-            t = self.advance()
-            name = self.parse_word("an ontology name")
-            self.expect(EQUALS, expected="'='")
-            body = self.parse_expr()
-            self.expect(KEYWORD, "end")
-            return OntologyDef(name, body, self.span(t))
-        if self.at(KEYWORD, "pattern"):
-            t = self.advance()
-            name = self.parse_word("a pattern name")
-            params = []
-            while self.kind == LBRACKET:
-                params.append(self.parse_param())
-            self.expect(EQUALS, expected="'='")
-            body = self.parse_expr()
-            self.expect(KEYWORD, "end")
+        is_pattern = self.at(KEYWORD, "pattern")
+        if not (is_pattern or self.at(KEYWORD, "ontology")):
+            raise self.error("'ontology' or 'pattern'")
+        t = self.advance()
+        name = self.parse_word("a pattern name" if is_pattern else "an ontology name")
+        params = []
+        while is_pattern and self.kind == LBRACKET:
+            params.append(self.parse_param())
+        self.expect(EQUALS, expected="'='")
+        body = self.parse_expr()
+        self.expect(KEYWORD, "end")
+        if is_pattern:
             return PatternDef(name, tuple(params), body, self.span(t))
-        raise self.error("'ontology' or 'pattern'")
+        return OntologyDef(name, body, self.span(t))
 
     def parse_library(self) -> Library:
         self.expect(KEYWORD, "library", expected="'library'")

@@ -11,16 +11,14 @@ from .axioms import render_axiom
 from .expansion import Obligation
 
 
-def render_report(obligations: list[Obligation], file: str | None = None) -> str:
+def render_report(obligations: list[Obligation], file: str) -> str:
     lines = [f"obligation-count: {len(obligations)}"]
     for index, ob in enumerate(obligations, start=1):
         lines.append("")
         lines.append(f"obligation: {index}")
         lines.append(f"pattern: {ob.pattern}")
         lines.append(f"argument-position: {ob.position}")
-        if ob.span is not None:
-            where = f"{file}:{ob.span}" if file else str(ob.span)
-            lines.append(f"site: {where}")
+        lines.append(f"site: {file}:{ob.span}")
         lines.append(f"target: {ob.target}")
         for source, target in ob.fit:
             lines.append(f"fit: {source} |-> {target}")

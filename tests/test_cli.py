@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -1363,6 +1365,9 @@ class TestOneErrorRecord:
         assert diagnostic.severity == "error"
         fields = (error.code, error.message, error.span, error.file, error.notes)
         assert fields == (diagnostic.code, diagnostic.message, diagnostic.span, diagnostic.file, diagnostic.notes)
+        # Like every record, the error survives pickle and copy.
+        for copied in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+            assert (type(copied), copied.diagnostic, str(copied)) == (GodpError, diagnostic, str(error))
         return error
 
     def test_lexer_error(self):

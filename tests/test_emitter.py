@@ -54,28 +54,45 @@ class TestEmit:
         assert emit_manchester(onto) == emit_manchester(onto)
 
     def test_entity_and_section_order(self):
+        # Every section of every frame kind, frames and sections written out
+        # of order: the output order is the schema's definition order.
         text = """
-        Individual: zoe Types: Person
-        Class: Person
+        Individual: zoe Facts: knows ann Types: Person
+        Class: Person DisjointWith: not Animal EquivalentTo: knows some Person SubClassOf: Animal
         DataProperty: age
-        ObjectProperty: knows Range: Person Domain: Person Characteristics: InverseFunctional
+        Individual: ann Types: Animal
+        ObjectProperty: knows SubPropertyOf: relatedTo InverseOf: knownBy Range: Person Domain: Person
+          Characteristics: InverseFunctional, Functional
+        ObjectProperty: knownBy
         Class: Animal
         """
         onto = FlatOntology.from_axioms(desugar_frames(parse_frames(text)))
         expected = (
+            "ObjectProperty: knownBy\n"
+            "\n"
             "ObjectProperty: knows\n"
             "  Characteristics: InverseFunctional\n"
+            "  Characteristics: Functional\n"
             "  Domain: Person\n"
             "  Range: Person\n"
+            "  InverseOf: knownBy\n"
+            "  SubPropertyOf: relatedTo\n"
             "\n"
             "DataProperty: age\n"
             "\n"
             "Class: Animal\n"
             "\n"
             "Class: Person\n"
+            "  SubClassOf: Animal\n"
+            "  EquivalentTo: knows some Person\n"
+            "  DisjointWith: not Animal\n"
+            "\n"
+            "Individual: ann\n"
+            "  Types: Animal\n"
             "\n"
             "Individual: zoe\n"
             "  Types: Person\n"
+            "  Facts: knows ann\n"
         )
         assert emit_manchester(onto) == expected
 

@@ -123,7 +123,7 @@ class TestCheckInstantiation:
         pattern = get_pattern(role, "RoleGODPParametrisation")
         inst = get_pattern(role, "ProfRoleOntology").body.parts[-1]
         subst, obligations = check_instantiation(pattern, inst.args, flatten=no_ontology_argument)
-        assert subst.as_dict() == {
+        assert dict(subst.mapping) == {
             name("Role"): name("ProfRole"),
             name("Performer"): name("Professor"),
             name("Provider"): name("University"),
@@ -135,7 +135,7 @@ class TestCheckInstantiation:
         pattern = get_pattern(role, "RoleGODPParametrisation")
         inst = get_pattern(role, "MotherRoleOntology").body.parts[-1]
         subst, _ = check_instantiation(pattern, inst.args, flatten=no_ontology_argument)
-        assert subst.as_dict() == {
+        assert dict(subst.mapping) == {
             name("Role"): name("MotherRole"),
             name("Performer"): name("Mother"),
         }

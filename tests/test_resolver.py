@@ -297,6 +297,13 @@ class TestSiteArguments:
             ("[ontology {Class: A}]", "[]", "MissingMandatoryArgument", "argument 1 of Q is mandatory"),
             ("[Class: A]", "[ObjectProperty: r]", "KindMismatch", "argument 1 of Q: expected Class, got ObjectProperty"),
             ("[ObjectProperty: p]", "[owl:Thing]", "KindMismatch", "argument 1 of Q: expected ObjectProperty, got owl:Thing"),
+            # A parameter passed on keeps the kind its own pattern declares.
+            (
+                "[ObjectProperty: p]",
+                "[X]",
+                "KindMismatch",
+                "argument 1 of Q: expected ObjectProperty, but X is a Class parameter of P",
+            ),
             (
                 "[Class: A]",
                 "[N fit A |-> X]",
