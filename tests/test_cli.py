@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -5,6 +6,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -177,14 +179,37 @@ class TestFlatten:
         assert "Class: A[B_C]" in out
         assert "Class: A[B][C]" in out
 
-    def test_json_diagnostics(self, capsys, tmp_path):
-        path = write(tmp_path, "library L\nontology O = Broken\nend")
-        code, out, err = run_cli(["check", path, "--json-diagnostics"], capsys)
-        assert code == 1
-        payload = json.loads(err.strip().splitlines()[0])
-        assert payload["code"] == "UnresolvedReference"
-        assert payload["severity"] == "error"
-        assert payload["line"] == 2
+    # Under --json-diagnostics every diagnostic, and every note, names the
+    # input: errors of resolving and parsing, a warning of resolving, and an
+    # error of expansion under two notes.
+    @pytest.mark.parametrize(
+        "source, exit_code, severity, code, line, col, message, notes",
+        [
+            ("library L\nontology O = Broken\nend", 1, "error", "UnresolvedReference", 2, 14,
+             "unknown reference 'Broken'", []),
+            ("library L\nontology O = Class: A Domain: B end\n", 1, "error", "UnsupportedConstruct", 2, 23,
+             "section 'Domain' is not supported in a Class frame", []),
+            ("library L\npattern P [Class: X] = Class: X SubClassOf: Y end\n", 0, "warning", "UnboundSymbol", 2, 1,
+             "pattern 'P' mentions Y, which is neither a parameter nor declared by the body or a referenced ontology",
+             []),
+            (
+                "library L\npattern Q [Class: c] = Class: c[A] end\npattern P [Class: X] = Q [X] end\n"
+                "ontology O = P [Class: owl:Thing] end\n",
+                2, "error", "KindMismatch", 2, 24, "owl:Thing cannot replace c in c[A]: it takes no constituents",
+                [(3, 24, "Q"), (4, 14, "P")],
+            ),
+        ],
+    )
+    def test_json_diagnostics(self, capsys, tmp_path, source, exit_code, severity, code, line, col, message, notes):
+        path = write(tmp_path, source)
+        diag = {"severity": severity, "code": code, "file": path, "line": line, "col": col, "message": message}
+        if notes:
+            diag["notes"] = [
+                {"file": path, "line": l, "col": c, "message": f"while expanding instantiation of {p!r}"}
+                for l, c, p in notes
+            ]
+        status, out, err = run_cli(["check", path, "--json-diagnostics"], capsys)
+        assert (status, out, [json.loads(l) for l in err.splitlines()]) == (exit_code, "", [diag])
 
     # A pattern takes one argument group per parameter, so one without
     # parameters is used by its bare name.
@@ -556,6 +581,13 @@ class TestRarePaths:
              "2:14: error: UnsupportedConstruct: 'Prefix:' is outside the supported subset"),
             ("library L\npattern Q [ontology {Prefix: x}] = Class: B end\n", ["check"], 1,
              "2:22: error: UnsupportedConstruct: 'Prefix:' is outside the supported subset"),
+            # an unknown characteristic is reported as its word is read: the ] after it is never reached
+            ("library L\nontology O = ObjectProperty: p Characteristics: Transitive, ] end\n", ["check"], 1,
+             "2:32: error: UnsupportedConstruct: section 'Characteristics: Transitive' is not supported"
+             " in a ObjectProperty frame"),
+            # a count written in other than ASCII digits, here U+00B2
+            ("library L\nontology O = Class: A SubClassOf: p min \u00b2 C end\n", ["check"], 1,
+             "2:41: error: SyntaxError: '\u00b2' is not a valid count: use ASCII digits"),
             ("library L\npattern P [Class: X] = Class: X end\nontology O = P [Class: A] end\n",
              ["flatten", "--target", "P"], 2,
              "2:1: error: UnknownTarget: 'P' is a pattern; flattening targets an ontology"),
@@ -653,7 +685,7 @@ class TestConformance:
 
 class TestClosedStdout:
     """A standard output closed by its reader is one IoError, exit 3: no
-    InternalError and nothing from the interpreter's exit flush."""
+    InternalError, no warning, and nothing from the interpreter's exit flush."""
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("options", [["list"], ["flatten", "--target", "X"], ["obligations", "--target", "X"]])
@@ -665,7 +697,7 @@ class TestClosedStdout:
         r, w = os.pipe()
         os.close(r)
         try:
-            argv = [sys.executable, "-m", "godp", options[0], path, *options[1:]]
+            argv = [sys.executable, "-W", "error", "-m", "godp", options[0], path, *options[1:]]
             proc = subprocess.run(argv, stdout=w, stderr=subprocess.PIPE, text=True, env=env)
         finally:
             os.close(w)
@@ -778,18 +810,24 @@ class TestCheck:
             assert err == f"{path}:2:24: error: KindMismatch: {message}\n"
 
     # A section its frame kind lacks is an error where the pattern is written:
-    # reported once, under no note, by every command, however many targets
-    # reach it.
+    # reported once, under no note, by every command, with no target or
+    # however many targets reach it.
+    MALFORMED = "library L\npattern R [Class: X] = Class: X Domain: B end\n"
+    MALFORMED_TARGETS = "ontology O1 = R [Class: A] end\nontology O2 = R [Class: C] end\nontology O3 = O1 and O2 end\n"
+
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
     @pytest.mark.parametrize(
-        "command", [["list"], ["check"], ["flatten", "--target", "O1"], ["obligations", "--target", "O1"]]
+        "targets, command",
+        [
+            ("", ["check"]),
+            (MALFORMED_TARGETS, ["list"]),
+            (MALFORMED_TARGETS, ["check"]),
+            (MALFORMED_TARGETS, ["flatten", "--target", "O1"]),
+            (MALFORMED_TARGETS, ["obligations", "--target", "O1"]),
+        ],
     )
-    def test_malformed_pattern_reported_once(self, capsys, tmp_path, command, json_flag):
-        path = write(
-            tmp_path,
-            "library L\npattern R [Class: X] = Class: X Domain: B end\n"
-            "ontology O1 = R [Class: A] end\nontology O2 = R [Class: C] end\nontology O3 = O1 and O2 end\n",
-        )
+    def test_malformed_pattern_reported_once(self, capsys, tmp_path, targets, command, json_flag):
+        path = write(tmp_path, self.MALFORMED + targets)
         code, out, err = run_cli([command[0], path, *command[1:], *json_flag], capsys)
         assert (code, out) == (1, "")
         message = "section 'Domain' is not supported in a Class frame"
@@ -844,6 +882,38 @@ class TestCheck:
             assert (diag["code"], diag["line"], diag["col"], diag["message"]) == ("OntologyArgForSymbolParam", 3, 26, message)
         else:
             assert err == f"{path}:3:26: error: OntologyArgForSymbolParam: {message}\n"
+
+    # Each argument is checked where it is written, in patterns that no
+    # ontology instantiates too: six bad arguments, one per rule, are six
+    # errors, under no note.
+    BAD_ARGUMENTS = (
+        "library L\nontology N = Class: A end\npattern QC [Class: A] = Class: A end\n"
+        "pattern QP [ObjectProperty: p] = ObjectProperty: p end\npattern QO [ontology {Class: A}] = Class: B end\n"
+        "pattern P1 [Class: X] = QC [] end\npattern P2 [Class: X] = QC [ObjectProperty: r] end\n"
+        "pattern P3 [Class: X] = QP [owl:Thing] end\npattern P4 [Class: X] = QC [N fit A |-> X] end\n"
+        "pattern P5 [Class: X] = QO [Class: Z] end\npattern P6 [Class: X] = QO [N fit W |-> A] end\n"
+    )
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
+    def test_every_bad_argument_without_a_host_is_one_error(self, capsys, tmp_path, json_flag):
+        path = write(tmp_path, self.BAD_ARGUMENTS)
+        code, out, err = run_cli(["check", path, *json_flag], capsys)
+        assert (code, out) == (2, "")
+        errors = [
+            (6, "MissingMandatoryArgument", "argument 1 of QC (A) is mandatory"),
+            (7, "KindMismatch", "argument 1 of QC: expected Class, got ObjectProperty"),
+            (8, "KindMismatch", "argument 1 of QP: expected ObjectProperty, got owl:Thing"),
+            (9, "OntologyArgForSymbolParam", "argument 1 of QC must be a single Class symbol, not an ontology"),
+            (10, "SymbolArgForOntologyParam", "argument 1 of QO must name an ontology"),
+            (11, "UnknownFitSymbol", "fit maps W, which is not a symbol of the parameter (argument 1 of QO)"),
+        ]
+        if json_flag:
+            assert [json.loads(line) for line in err.splitlines()] == [
+                {"severity": "error", "code": c, "file": path, "line": line, "col": 28, "message": m}
+                for line, c, m in errors
+            ]
+        else:
+            assert err == "".join(f"{path}:{line}:28: error: {c}: {m}\n" for line, c, m in errors)
 
     # A fit that maps one symbol twice is one error at its argument.
     @pytest.mark.parametrize("json_flag", [[], ["--json-diagnostics"]])
@@ -1141,6 +1211,74 @@ class TestStartup:
         assert proc.stdout == "[]\n"
 
 
+class TestBareInterpreter:
+    """The CLI needs only the standard library and raises no warning: a fresh
+    ``python -S -W error`` interpreter, with no site-packages and every
+    warning an error, runs every command on every fixture, plain and with
+    --json-diagnostics, and one input for each exit code 1 to 4. Each run
+    ends in its exit code and prints what the in-process ``main`` prints.
+    One interpreter runs them all, since each start-up of one costs more than
+    a run."""
+
+    # Runs main on each argv of the list it reads from standard input and
+    # writes back each run's exit code, standard output and standard error.
+    # An exception that escapes main, which would be a traceback, stands in
+    # for the exit code.
+    DRIVER = """
+import ast, io, sys
+from godp.cli import main
+results = []
+for argv in ast.literal_eval(sys.stdin.read()):
+    sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
+    try:
+        code = main(argv)
+    except BaseException as exc:
+        code = repr(exc)
+    results.append((code, out.getvalue(), err.getvalue()))
+sys.__stdout__.write(repr(results))
+"""
+    TARGETS = {"role": "ProfRoleOntology", "driving": "drivePatternInstance",
+               "obligations": "BeagleTerm", "collision": "CollisionDemo"}
+    FAILING = {("collision", "check"): 2, ("collision", "flatten"): 2}
+    EXIT_INPUTS = {
+        1: b"library L\nontology O = = end\n",
+        2: b"library L\npattern Q [Class: c] = Class: c[A] end\npattern P [Class: X] = Q [X] end\n"
+           b"ontology O = P [Class: owl:Thing] end\n",
+        3: b"library L\n\xff\xfe\n",
+        4: b"library L ontology O = " + b"(" * 5000 + b"Class: A" + b")" * 5000 + b" end\n",
+    }
+
+    def test_runs_as_in_process(self, capsys, tmp_path, fixtures_dir):
+        runs = []
+        for fixture, target in self.TARGETS.items():
+            path = str(fixtures_dir / f"{fixture}.gdol")
+            for command in ("list", "check", "flatten", "obligations"):
+                options = ["--target", target] if command in ("flatten", "obligations") else []
+                runs.append(([command, path, *options], self.FAILING.get((fixture, command), 0)))
+        for code, source in self.EXIT_INPUTS.items():
+            path = tmp_path / f"exit{code}.gdol"
+            path.write_bytes(source)
+            runs.append((["check", str(path)], code))
+        runs += [([*argv, "--json-diagnostics"], code) for argv, code in runs]
+        src = Path(godp.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-W", "error", "-c", self.DRIVER],
+            input=repr([argv for argv, _ in runs]),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        for (argv, code), bare in zip(runs, ast.literal_eval(proc.stdout), strict=True):
+            # Here a warning is recorded, not raised, so that it shows as a
+            # difference from the bare run.
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                expected = run_cli(argv, capsys)
+            assert bare == (code, *expected[1:]), argv
+            assert expected[0] == code, argv
+
+
 class TestLibraryApi:
     PIPELINE = ["Diagnostic", "GodpError", "emit_manchester", "expand", "parse_library", "resolve", "stratify_ontology"]
 
@@ -1211,7 +1349,7 @@ class TestDeepChains:
     @pytest.mark.parametrize("shape", ["and", "then"])
     def test_patterns_nested_300_deep(self, tmp_path, shape):
         # Each level of pattern nesting costs as many frames as with binary
-        # nodes; the expander stops at about 326 levels.
+        # nodes; 325 levels compile and 326 do not.
         items = ["pattern P0 [Class: X] = Class: X end"]
         items += [f"pattern P{i} [Class: X] = P{i - 1} [X] {shape} Class: X end" for i in range(1, 301)]
         path = write(tmp_path, "library D\n" + "\n".join(items) + "\nontology T = P300 [Class: A] end\n")
@@ -1231,8 +1369,9 @@ class TestDeepChains:
 
     @pytest.mark.parametrize("command", [["flatten", "--target", "O200"], ["check"]])
     def test_named_ontologies_chained_200_deep(self, tmp_path, command):
-        # Each reference to a named ontology costs about four frames; the
-        # expander stops after 244 references (246 under check).
+        # Each reference to a named ontology costs about four frames: 245
+        # references compile under flatten and 246 under check, one more
+        # does not.
         items = ["ontology O0 = Class: A0 end"]
         items += [f"ontology O{i} = O{i - 1} and Class: A{i} end" for i in range(1, 201)]
         path = write(tmp_path, "library D\n" + "\n".join(items) + "\n")

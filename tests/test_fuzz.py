@@ -6,7 +6,8 @@ pattern body passes an argument to an ontology parameter. A mutation deletes
 a stretch of text, inserts a grammar word or punctuation, replaces an
 identifier with another one of the text, or duplicates a line. Each mutant
 is checked, then flattened and its obligations reported for up to three of
-its ontologies. The expander looks up only names the resolver bound, so a
+its ontologies; check exits with a code at least each flatten's and prints
+each flatten's first error line. The expander looks up only names the resolver bound, so a
 binding the resolver missed would end here as an InternalError, exit 4; and
 it takes each argument as the resolver checked it, so no argument error may
 come from a site.
@@ -101,6 +102,13 @@ def test_mutants_end_in_output_or_error_diagnostic(tmp_path, source):
             assert code == 0 or ": error: " in err, context
             assert "InternalError" not in err and "Traceback" not in err, context
             assert not ARGUMENT_ERROR_AT_A_SITE.search(err), context
+            if argv[0] == "check":
+                check_code, check_lines = code, err.splitlines()
+            elif argv[0] == "flatten":
+                # check makes every check flatten makes, and reports its first error.
+                assert check_code >= code, context
+                errors = [line for line in err.splitlines() if ": error: " in line]
+                assert not errors or errors[0] in check_lines, context
 
 
 def test_accepted_stratification_never_fails_when_read():
